@@ -69,7 +69,7 @@ use crossbeam_utils::CachePadded;
 use parking_lot::lock_api::RawMutex as RawMutexApi;
 use parking_lot::RawMutex;
 
-use pqalgo::{CleanupPhase, InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
+use pqalgo::{CleanupPhase, Event, InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
 
 use crate::clock::TimestampClock;
 use crate::gc::{Collector, RawGuard};
@@ -137,11 +137,9 @@ pub struct SkipQueue<K, V> {
     unlink_batch: usize,
     gc: Collector<K, V>,
     /// Test-only seams (height scripting, decision tracing, cleaner phase
-    /// hooks); `None` in production, so the fast paths pay one branch.
+    /// hooks, the stale-hint mutation); `None` in production, so the fast
+    /// paths pay one branch.
     hooks: Option<Box<TestHooks<K, V>>>,
-    /// Mutation seam: re-introduces the PR 3 stale-hint bug in the cleaner's
-    /// abort paths so the abort-path tests can prove they catch it.
-    buggy_abort: bool,
 }
 
 // SAFETY: the queue hands out no references into nodes; keys are compared
@@ -199,6 +197,11 @@ struct TestHooks<K, V> {
     height_script: StdMutex<VecDeque<usize>>,
     trace: Option<TraceCfg<K>>,
     phase_hook: Option<PhaseHookFn<K, V>>,
+    /// Mutation seam: re-introduces the stale-hint use-after-free (a
+    /// cleaner ignores its own hint clears once it reaches `PrePublish`, so
+    /// both Phase-4 abort paths leave the hint in place) so the abort-path
+    /// tests can prove they catch it.
+    buggy_abort: bool,
 }
 
 impl<K, V> TestHooks<K, V> {
@@ -207,6 +210,7 @@ impl<K, V> TestHooks<K, V> {
             height_script: StdMutex::new(VecDeque::new()),
             trace: None,
             phase_hook: None,
+            buggy_abort: false,
         }
     }
 }
@@ -220,11 +224,6 @@ fn drive<F: std::future::Future>(fut: F) -> F::Output {
         Poll::Ready(v) => v,
         Poll::Pending => unreachable!("native platform futures never suspend"),
     }
-}
-
-/// Per-operation state for the native platform: the GC pin token.
-struct NativeCtx {
-    pin: Option<RawGuard>,
 }
 
 /// The native [`Platform`]: one is stack-allocated per public-API call.
@@ -241,6 +240,11 @@ struct NativeOp<'q, K, V> {
     q: &'q SkipQueue<K, V>,
     input: Cell<Option<(K, V)>>,
     out: Cell<Option<(K, V)>>,
+    /// The GC pin token, held between `enter` and `exit`.
+    pin: Cell<Option<RawGuard>>,
+    /// Set when the stale-hint mutation is armed for this operation's
+    /// cleaner (see `TestHooks::buggy_abort`).
+    keep_hint: Cell<bool>,
 }
 
 impl<'q, K: Ord, V> NativeOp<'q, K, V> {
@@ -249,15 +253,33 @@ impl<'q, K: Ord, V> NativeOp<'q, K, V> {
             q,
             input: Cell::new(None),
             out: Cell::new(None),
+            pin: Cell::new(None),
+            keep_hint: Cell::new(false),
         }
     }
 
-    /// Records a decision-trace event when tracing is enabled. The closure
-    /// receives the trace config so key-bearing events can flatten keys.
-    fn trace_event(&self, make: impl FnOnce(&TraceCfg<K>) -> TraceEvent) {
-        if let Some(cfg) = self.q.hooks.as_ref().and_then(|h| h.trace.as_ref()) {
-            let ev = make(cfg);
-            cfg.sink.lock().unwrap().push(ev);
+    /// The test seams' side of [`Platform::event`]: decision trace, phase
+    /// injection and the stale-hint mutation. Out of line so production
+    /// operations pay one branch per event.
+    #[cold]
+    #[inline(never)]
+    fn test_event(&self, hooks: &TestHooks<K, V>, ev: Event<'_, *mut Node<K, V>>) {
+        if let Some(cfg) = &hooks.trace {
+            // SAFETY: every event node is reachable under this op's pin;
+            // tracing is only enabled for `Copy` keys (see `with_trace`),
+            // whose bits stay readable after the key was moved out.
+            let key = |n| unsafe { flat_trace_key(cfg.key_fn, n) };
+            if let Some(t) = TraceEvent::flatten(ev, key) {
+                cfg.sink.lock().unwrap().push(t);
+            }
+        }
+        if let Event::Phase(phase) = ev {
+            if phase == CleanupPhase::PrePublish && hooks.buggy_abort {
+                self.keep_hint.set(true);
+            }
+            if let Some(f) = &hooks.phase_hook {
+                f(phase, self.q);
+            }
         }
     }
 }
@@ -287,8 +309,6 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     // Search operands are node pointers too: the key (with its FIFO
     // sequence number) lives inside the new/victim node.
     type SearchKey = *mut Node<K, V>;
-    type Prep = *mut Node<K, V>;
-    type Ctx = NativeCtx;
 
     // The native queue is a multiset (duplicate priorities get fresh
     // nodes), already holds the victim pointer after the claim, moves
@@ -300,52 +320,48 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     const EAGER_PAYLOAD_FIRST: bool = false;
     const RELAXED_CLAIM_READS_STAMP: bool = true;
 
-    fn op_begin(&self) -> NativeCtx {
-        NativeCtx { pin: None }
+    fn event(&self, ev: Event<'_, Self::Node>) {
+        if let Some(hooks) = self.q.hooks.as_deref() {
+            self.test_event(hooks, ev);
+        }
     }
 
-    async fn enter(&self, ctx: &mut NativeCtx) {
-        ctx.pin = Some(self.q.gc.enter());
+    async fn enter(&self) {
+        self.pin.set(Some(self.q.gc.enter()));
     }
 
-    async fn exit(&self, ctx: &mut NativeCtx) {
-        self.q.gc.exit(ctx.pin.take().expect("exit without enter"));
+    async fn exit(&self) {
+        self.q.gc.exit(self.pin.take().expect("exit without enter"));
     }
 
-    fn insert_prepare(&self) -> (Self::SearchKey, Self::Prep) {
+    fn insert_prepare(&self) -> Self::SearchKey {
         let (key, value) = self.input.take().expect("insert operand staged");
         let height = self.q.next_height();
-        self.trace_event(|_| TraceEvent::Height(height));
         let ikey = IKey::Val(
             ManuallyDrop::new(key),
             self.q.seq.fetch_add(1, Ordering::Relaxed),
         );
-        let node = Node::alloc(ikey, Some(value), height);
-        (node, node)
+        Node::alloc(ikey, Some(value), height)
     }
 
-    fn materialize(&self, prep: Self::Prep, _skey: Self::SearchKey) -> (Self::Node, usize) {
+    fn materialize(&self, skey: Self::SearchKey) -> (Self::Node, usize) {
         // SAFETY: freshly allocated in `insert_prepare`, exclusively owned
         // until linked.
-        (prep, unsafe { (*prep).height() })
+        (skey, unsafe { (*skey).height() })
     }
 
     async fn update_in_place(&self, _node: Self::Node) {
         unreachable!("native insert is multiset (DICT_INSERT = false)");
     }
 
-    async fn store_stamp(&self, _ctx: &NativeCtx, node: Self::Node) {
+    async fn store_stamp(&self, node: Self::Node) {
         // SAFETY: module-level platform contract (pinned node).
         unsafe {
             (*node)
                 .timestamp
                 .store(self.q.clock.tick(), Ordering::Release);
         }
-        // SAFETY: node is this insert's own, fully linked, key present.
-        self.trace_event(|cfg| TraceEvent::Stamp(unsafe { flat_trace_key(cfg.key_fn, node) }));
     }
-
-    fn record_insert(&self, _ctx: &NativeCtx, _node: Self::Node) {}
 
     async fn load_next(&self, node: Self::Node, lvl: usize) -> Self::Node {
         // SAFETY: platform contract.
@@ -395,14 +411,8 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unsafe { (*node).node_lock.unlock() }
     }
 
-    async fn delete_read_clock(&self, _ctx: &mut NativeCtx) -> u64 {
+    async fn delete_read_clock(&self) -> u64 {
         self.q.clock.tick()
-    }
-
-    fn relaxed_delete_time(&self, _ctx: &mut NativeCtx) -> u64 {
-        // "Consider everything" — but the stamp read this bound is compared
-        // against still filters `u64::MAX` (mid-insert nodes and the head).
-        u64::MAX
     }
 
     async fn load_stamp(&self, node: Self::Node) -> u64 {
@@ -420,12 +430,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unsafe { (*node).deleted.swap(true, Ordering::AcqRel) }
     }
 
-    fn note_claim(&self, _ctx: &mut NativeCtx, node: Self::Node) {
-        // SAFETY: we just won the swap; the key has not been moved yet.
-        self.trace_event(|cfg| TraceEvent::Claim(unsafe { flat_trace_key(cfg.key_fn, node) }));
-    }
-
-    async fn take_payload(&self, _ctx: &mut NativeCtx, node: Self::Node) {
+    async fn take_payload(&self, node: Self::Node) {
         // SAFETY: we are the unique winner of the `deleted` swap; nobody
         // else touches key/value (the mark is never cleared).
         unsafe {
@@ -437,7 +442,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         }
     }
 
-    fn victim_search_key(&self, _ctx: &NativeCtx, victim: Self::Node) -> Self::SearchKey {
+    fn victim_search_key(&self, victim: Self::Node) -> Self::SearchKey {
         victim
     }
 
@@ -446,21 +451,11 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unsafe { (*victim).height() }
     }
 
-    fn debug_check_pred(&self, pred: Self::Node, victim: Self::Node, lvl: usize) {
-        // SAFETY: the algorithm holds `pred`'s level lock here.
-        unsafe { debug_assert_eq!((*pred).next(lvl), victim, "pred must point at victim") }
+    async fn retire_one(&self, victim: Self::Node, _height: usize) {
+        let pin = self.pin.get().expect("retire under pin");
+        // SAFETY: this caller unlinked `victim` and holds the pin.
+        unsafe { self.q.gc.retire(pin, victim) };
     }
-
-    async fn retire_one(&self, ctx: &NativeCtx, victim: Self::Node, _height: usize) {
-        // SAFETY (trace): victim's key bits remain valid until dealloc.
-        self.trace_event(|cfg| TraceEvent::Retire(unsafe { flat_trace_key(cfg.key_fn, victim) }));
-        // SAFETY: this caller unlinked `victim` and holds the pin in `ctx`.
-        unsafe { self.q.gc.retire(ctx.pin.expect("retire under pin"), victim) };
-    }
-
-    fn record_delete(&self, _ctx: &NativeCtx) {}
-
-    fn record_delete_empty(&self, _ctx: &NativeCtx) {}
 
     fn deferred_push(&self, _node: Self::Node) -> bool {
         self.q.deferred.fetch_add(1, Ordering::AcqRel) + 1 >= self.q.unlink_batch as isize
@@ -480,20 +475,11 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     }
 
     async fn store_hint(&self, hint: Option<Self::Node>) {
-        match hint {
-            Some(node) => {
-                // SAFETY: the cleaner publishes its `stop` node, still
-                // linked and pinned.
-                self.trace_event(|cfg| {
-                    TraceEvent::HintSet(unsafe { flat_trace_key(cfg.key_fn, node) })
-                });
-                self.q.front.store(node, Ordering::SeqCst);
-            }
-            None => {
-                self.trace_event(|_| TraceEvent::HintClear);
-                self.q.front.store(std::ptr::null_mut(), Ordering::SeqCst);
-            }
+        if hint.is_none() && self.keep_hint.get() {
+            return;
         }
+        let ptr = hint.unwrap_or(std::ptr::null_mut());
+        self.q.front.store(ptr, Ordering::SeqCst);
     }
 
     async fn hint_key_gt(&self, hint: Self::Node, node: Self::Node) -> bool {
@@ -546,44 +532,18 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         }
     }
 
-    fn seal_batch(&self, _batch: &[Self::Node]) {}
-
     fn is_batch_member(&self, node: Self::Node) -> bool {
         // SAFETY: platform contract.
         unsafe { (*node).in_unlink_batch.load(Ordering::Relaxed) }
     }
 
-    async fn retire_unlinked_batch(
-        &self,
-        ctx: &NativeCtx,
-        batch: Vec<Self::Node>,
-        _heights: &[usize],
-    ) {
-        self.trace_event(|cfg| {
-            TraceEvent::RetireBatch(
-                batch
-                    .iter()
-                    // SAFETY: batch members' key bits stay valid until
-                    // dealloc (trace requires `Copy` keys).
-                    .map(|&n| unsafe { flat_trace_key(cfg.key_fn, n) })
-                    .collect(),
-            )
-        });
+    async fn retire_unlinked_batch(&self, batch: Vec<Self::Node>, _heights: &[usize]) {
         self.q
             .deferred
             .fetch_sub(batch.len() as isize, Ordering::AcqRel);
-        // SAFETY: the cleaner unlinked every member; pin held in `ctx`.
-        unsafe {
-            self.q
-                .gc
-                .retire_batch(ctx.pin.expect("retire under pin"), batch)
-        };
-    }
-
-    fn phase_hook(&self, phase: CleanupPhase) {
-        if let Some(f) = self.q.hooks.as_ref().and_then(|h| h.phase_hook.as_ref()) {
-            f(phase, self.q);
-        }
+        let pin = self.pin.get().expect("retire under pin");
+        // SAFETY: the cleaner unlinked every member and holds the pin.
+        unsafe { self.q.gc.retire_batch(pin, batch) };
     }
 }
 
@@ -650,7 +610,6 @@ impl<K: Ord, V> SkipQueue<K, V> {
             unlink_batch: 0,
             gc: Collector::new(max_threads),
             hooks: None,
-            buggy_abort: false,
         }
     }
 
@@ -677,7 +636,6 @@ impl<K: Ord, V> SkipQueue<K, V> {
             max_height: self.max_height,
             strict: self.strict,
             batched: self.unlink_batch != 0,
-            buggy_abort_keeps_hint: self.buggy_abort,
         }
     }
 
@@ -834,7 +792,7 @@ impl<K: Ord, V> SkipQueue<K, V> {
     /// abort-path tests catch the bug; never set in production.
     #[doc(hidden)]
     pub fn set_buggy_abort(&mut self, on: bool) {
-        self.buggy_abort = on;
+        self.hooks_mut().buggy_abort = on;
     }
 
     /// Test seam: whether the batched scan-start hint is currently unset.
@@ -1594,6 +1552,33 @@ mod tests {
                 TraceEvent::Stamp(7),
                 TraceEvent::Claim(5),
                 TraceEvent::Retire(5),
+            ]
+        );
+
+        // Batched: the second claim trips a sweep, which reports its phase
+        // points around the hint publication and the group retirement.
+        let sink = Arc::new(StdMutex::new(Vec::new()));
+        let q: SkipQueue<u64, ()> = SkipQueue::new()
+            .with_unlink_batch(2)
+            .with_height_script([1usize, 1, 1])
+            .with_trace(Arc::clone(&sink), |k| *k);
+        for k in [5, 7, 9] {
+            q.insert(k, ());
+        }
+        sink.lock().unwrap().clear();
+        assert_eq!(q.delete_min().map(|(k, _)| k), Some(5));
+        assert_eq!(q.delete_min().map(|(k, _)| k), Some(7));
+        let events = sink.lock().unwrap().clone();
+        assert_eq!(
+            events,
+            vec![
+                TraceEvent::Claim(5),
+                TraceEvent::Claim(7),
+                TraceEvent::Phase(CleanupPhase::PreCollect),
+                TraceEvent::Phase(CleanupPhase::PrePublish),
+                TraceEvent::HintSet(9),
+                TraceEvent::Phase(CleanupPhase::PostPublish),
+                TraceEvent::RetireBatch(vec![5, 7]),
             ]
         );
     }

@@ -8,7 +8,7 @@
 //! sequence of the original hand-written simulator transcription, so the
 //! simulator's figures are bit-identical across the unification.
 
-use crate::platform::{CleanupPhase, InsertResult, PeekPlatform, Platform};
+use crate::platform::{CleanupPhase, Event, InsertResult, PeekPlatform, Platform};
 
 /// Tower-height ceiling shared by both runtimes (the native queue caps
 /// construction at 32, the simulator at 30).
@@ -30,13 +30,6 @@ pub struct SkipAlgo<N> {
     /// Batched physical deletion active (the PR 3 departure); `false` is
     /// the paper's eager per-delete Pugh unlink.
     pub batched: bool,
-    /// Mutation seam for the batched cleaner's Phase-4 abort paths: when
-    /// set, an aborted hint publication leaves the previously published
-    /// hint in place instead of clearing it — re-introducing the PR 3
-    /// use-after-free. Exists so tests can prove the abort-path coverage
-    /// actually fails on the bug. Never set in production.
-    #[doc(hidden)]
-    pub buggy_abort_keeps_hint: bool,
 }
 
 impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
@@ -85,11 +78,16 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         preds
     }
 
+    /// Publishes or clears the scan-start hint and reports it.
+    async fn store_hint<P: Platform<Node = N>>(&self, p: &P, hint: Option<N>) {
+        p.store_hint(hint).await;
+        p.event(hint.map_or(Event::HintClear, Event::HintSet));
+    }
+
     /// Inserts the operand staged in the platform (Figure 10).
     pub async fn insert<P: Platform<Node = N>>(&self, p: &P) -> InsertResult {
-        let mut ctx = p.op_begin();
-        p.enter(&mut ctx).await;
-        let (skey, prep) = p.insert_prepare();
+        p.enter().await;
+        let skey = p.insert_prepare();
         let preds = self.search(p, skey).await;
 
         // Lines 10–16 (dictionary platforms only): lock the level-0
@@ -101,14 +99,15 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
             if p.key_eq(node2, skey).await {
                 p.update_in_place(node2).await;
                 p.unlock_level(pred0, 0).await;
-                p.exit(&mut ctx).await;
+                p.exit().await;
                 return InsertResult::Updated;
             }
         }
 
         // Lines 17–20: make the node, lock it whole so no deleter can start
         // unlinking it while its upper levels are still being connected.
-        let (node, height) = p.materialize(prep, skey);
+        let (node, height) = p.materialize(skey);
+        p.event(Event::Height(height));
         p.lock_node(node).await;
 
         // Lines 21–27: connect bottom-to-top, each level under the
@@ -135,30 +134,31 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
             p.bump_epoch(node).await;
             if let Some(hint) = p.load_hint().await {
                 if hint != node && p.hint_key_gt(hint, node).await {
-                    p.store_hint(None).await;
+                    self.store_hint(p, None).await;
                 }
             }
         }
 
         // Line 29: the time stamp is set only after the node is completely
         // inserted.
-        p.store_stamp(&ctx, node).await;
-        p.record_insert(&ctx, node);
-        p.exit(&mut ctx).await;
+        p.store_stamp(node).await;
+        p.event(Event::Stamp(node));
+        p.exit().await;
         InsertResult::Inserted
     }
 
     /// Removes the minimum entry (Figure 11) into the platform's result
     /// slot; returns `false` for EMPTY.
     pub async fn delete_min<P: Platform<Node = N>>(&self, p: &P) -> bool {
-        let mut ctx = p.op_begin();
-        p.enter(&mut ctx).await;
+        p.enter().await;
         // Line 1: note the time the search starts; only consider nodes
-        // stamped earlier. Relaxed mode (§5.4) considers everything.
+        // stamped earlier. Relaxed mode (§5.4) considers everything (the
+        // stamp filter, where a platform still reads it, then only skips
+        // mid-insert nodes and the head).
         let time = if self.strict {
-            p.delete_read_clock(&mut ctx).await
+            p.delete_read_clock().await
         } else {
-            p.relaxed_delete_time(&mut ctx)
+            u64::MAX
         };
 
         // Lines 2–10: walk the bottom level, SWAP-claiming the first
@@ -179,10 +179,10 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
                 if self.batched && p.deferred_pending() {
                     // EMPTY but claimed nodes are still linked: sweep now so
                     // an idle queue does not pin its final batch.
-                    self.cleanup(p, &ctx).await;
+                    self.cleanup(p).await;
                 }
-                p.exit(&mut ctx).await;
-                p.record_delete_empty(&ctx);
+                p.exit().await;
+                p.event(Event::Empty);
                 return false; // EMPTY
             }
             let eligible = if self.strict || P::RELAXED_CLAIM_READS_STAMP {
@@ -194,7 +194,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
                 && !(self.batched && p.load_deleted(node1).await)
                 && !p.swap_deleted(node1).await
             {
-                p.note_claim(&mut ctx, node1);
+                p.event(Event::Claim(node1));
                 break node1;
             }
             node1 = p.load_next(node1, 0).await;
@@ -203,22 +203,22 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         if self.batched || P::EAGER_PAYLOAD_FIRST {
             // Lines 11–13: save the value and key. The winner of the SWAP is
             // the unique owner of the payload.
-            p.take_payload(&mut ctx, victim).await;
+            p.take_payload(victim).await;
         }
 
         if self.batched {
             // Deferred physical delete: leave the marked node linked and
             // sweep once enough claims have accumulated.
             if p.deferred_push(victim) {
-                self.cleanup(p, &ctx).await;
+                self.cleanup(p).await;
             }
-            p.exit(&mut ctx).await;
-            p.record_delete(&ctx);
+            p.exit().await;
+            p.event(Event::Deleted);
             return true;
         }
 
         // Pugh's physical delete. Lines 15–22: re-find the predecessors.
-        let skey = p.victim_search_key(&ctx, victim);
+        let skey = p.victim_search_key(victim);
         let preds = self.search(p, skey).await;
         // Lines 24–26 (platforms searching by key): make sure we hold a
         // pointer to the node with the key.
@@ -238,7 +238,13 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         let height = p.victim_height(node2).await;
         for lvl in (0..height).rev() {
             let pred = self.get_lock(p, preds[lvl], skey, lvl).await;
-            p.debug_check_pred(pred, node2, lvl);
+            // Holding the victim pointer, the exact predecessor must point
+            // at it; platforms that re-find the victim by key cannot assert
+            // this (and must not pay a charged read for it).
+            debug_assert!(
+                P::REFIND_VICTIM || p.load_next(pred, lvl).await == node2,
+                "pred must point at victim"
+            );
             p.lock_level(node2, lvl).await;
             let nxt = p.load_next(node2, lvl).await;
             p.store_next(pred, lvl, nxt).await;
@@ -249,11 +255,12 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         // Lines 36–37: release and retire to the stamped garbage list (§3).
         p.unlock_node(node2).await;
         if !P::EAGER_PAYLOAD_FIRST {
-            p.take_payload(&mut ctx, node2).await;
+            p.take_payload(node2).await;
         }
-        p.retire_one(&ctx, node2, height).await;
-        p.exit(&mut ctx).await;
-        p.record_delete(&ctx);
+        p.event(Event::Retire(node2));
+        p.retire_one(node2, height).await;
+        p.exit().await;
+        p.event(Event::Deleted);
         true
     }
 
@@ -265,7 +272,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
     ///
     /// Only one sweeper at a time (cleaner try-lock); callers that lose
     /// simply return — the claim fast path never blocks here.
-    async fn cleanup<P: Platform<Node = N>>(&self, p: &P, ctx: &P::Ctx) {
+    async fn cleanup<P: Platform<Node = N>>(&self, p: &P) {
         if !p.try_lock_cleaner().await {
             return;
         }
@@ -273,7 +280,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         // completes linking after this point, the publication is aborted or
         // repaired by the insert itself.
         let v1 = p.load_epoch().await;
-        p.phase_hook(CleanupPhase::PreCollect);
+        p.event(Event::Phase(CleanupPhase::PreCollect));
         // Phase 1: collect the marked prefix. Stop at the first node that is
         // unmarked, still mid-insert (node-lock handshake — possible in
         // relaxed mode, which can claim before stamping), or past the cap.
@@ -300,7 +307,6 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
             p.unlock_cleaner().await;
             return;
         }
-        p.seal_batch(&batch);
         // Phase 2: per-level membership counts, so each level's sweep knows
         // when it has seen the whole batch and can stop.
         let mut level_counts = [0usize; MAX_HEIGHT];
@@ -342,7 +348,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
             }
             p.unlock_level(pred, lvl).await;
         }
-        p.phase_hook(CleanupPhase::PrePublish);
+        p.event(Event::Phase(CleanupPhase::PrePublish));
         // Phase 4: publish the scan hint — but only if no insert completed
         // linking since `v1`; re-check after the store and roll back so a
         // racing insert can never be hidden. Must happen *before* the batch
@@ -354,16 +360,17 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
         // would dangle. Inserts only ever clear the hint, so the clear never
         // hides anything — it just costs the next scan a walk from the head.
         if p.load_epoch().await == v1 {
-            p.store_hint(Some(stop)).await;
-            p.phase_hook(CleanupPhase::PostPublish);
-            if p.load_epoch().await != v1 && !self.buggy_abort_keeps_hint {
-                p.store_hint(None).await;
+            self.store_hint(p, Some(stop)).await;
+            p.event(Event::Phase(CleanupPhase::PostPublish));
+            if p.load_epoch().await != v1 {
+                self.store_hint(p, None).await;
             }
-        } else if !self.buggy_abort_keeps_hint {
-            p.store_hint(None).await;
+        } else {
+            self.store_hint(p, None).await;
         }
         // Phase 5: hand the whole batch to the collector in one shot.
-        p.retire_unlinked_batch(ctx, batch, &heights).await;
+        p.event(Event::RetireBatch(&batch));
+        p.retire_unlinked_batch(batch, &heights).await;
         p.unlock_cleaner().await;
     }
 
@@ -374,8 +381,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
     /// The snapshot is relaxed: strict-mode stamps are deliberately ignored
     /// (a probe is not a claim, so Definition 1 does not apply).
     pub async fn peek_min_key<P: PeekPlatform<Node = N>>(&self, p: &P) -> Option<P::PeekKey> {
-        let mut ctx = p.op_begin();
-        p.enter(&mut ctx).await;
+        p.enter().await;
         let mut node1 = if self.batched {
             match p.load_hint().await {
                 Some(hint) => hint,
@@ -396,7 +402,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
             }
             node1 = p.load_next(node1, 0).await;
         };
-        p.exit(&mut ctx).await;
+        p.exit().await;
         key
     }
 }

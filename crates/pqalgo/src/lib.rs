@@ -27,4 +27,4 @@ mod algo;
 mod platform;
 
 pub use algo::{SkipAlgo, MAX_HEIGHT};
-pub use platform::{CleanupPhase, InsertResult, PeekPlatform, Platform, TraceEvent};
+pub use platform::{CleanupPhase, Event, InsertResult, PeekPlatform, Platform, TraceEvent};

@@ -26,13 +26,21 @@
 //! * `enter` / `exit` / `retire_one` / `retire_unlinked_batch` are the §3
 //!   garbage-collection registry and stamped garbage lists.
 //!
+//! Everything else a runtime wants to observe — tower heights, stamps,
+//! claims, hint traffic, retirements, operation completions and the
+//! cleaner's phase points — arrives through the one non-`async`
+//! [`Platform::event`] hook, which the algorithm calls at each of those
+//! points. The decision trace ([`TraceEvent::flatten`]), the simulator's
+//! history tap and test fault injection all read from it; none of them is
+//! a primitive of the paper.
+//!
 //! The differences between the two original hand-written implementations
 //! that are *not* pure cost accounting are captured by the associated
 //! `const`s (dictionary-style insert, victim re-find, payload extraction
 //! order, relaxed-mode stamp filtering); each is documented on its item.
 
-/// Identifies where in the batched cleaner a [`Platform::phase_hook`] call
-/// sits. Platforms that inject concurrent work at these points (tests) can
+/// Identifies where in the batched cleaner an [`Event::Phase`] sits.
+/// Platforms that inject concurrent work at these points (tests) can
 /// exercise the hint-publication abort paths deterministically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CleanupPhase {
@@ -42,6 +50,33 @@ pub enum CleanupPhase {
     PrePublish,
     /// After the Phase-4 hint store, before the epoch re-check.
     PostPublish,
+}
+
+/// A notification the algorithm hands to [`Platform::event`]: how the
+/// decision trace, the simulator's history tap and test fault injection
+/// observe an operation.
+#[derive(Clone, Copy, Debug)]
+pub enum Event<'a, N> {
+    /// An insert made its node; this is the node's tower height.
+    Height(usize),
+    /// An insert's time stamp (Figure 10 line 29) has landed on this node.
+    Stamp(N),
+    /// A delete-min won the claiming SWAP on this node.
+    Claim(N),
+    /// The batched cleaner published this node as the scan-start hint.
+    HintSet(N),
+    /// The scan-start hint was cleared (cleaner abort or insert repair).
+    HintClear,
+    /// An eager delete unlinked this node and is about to retire it.
+    Retire(N),
+    /// The batched cleaner unlinked these nodes and is about to retire them.
+    RetireBatch(&'a [N]),
+    /// A delete-min finished with a claimed payload.
+    Deleted,
+    /// A delete-min finished with EMPTY.
+    Empty,
+    /// The batched cleaner reached this phase point.
+    Phase(CleanupPhase),
 }
 
 /// Logical decisions of one run, with keys flattened to `u64` (the head
@@ -64,6 +99,28 @@ pub enum TraceEvent {
     Retire(u64),
     /// The batched cleaner unlinked and retired these keys, in batch order.
     RetireBatch(Vec<u64>),
+    /// The batched cleaner reached this phase point.
+    Phase(CleanupPhase),
+}
+
+impl TraceEvent {
+    /// Flattens an [`Event`] into the trace vocabulary, reading node keys
+    /// through the platform's `key` function. Operation completions
+    /// ([`Event::Deleted`], [`Event::Empty`]) carry no decision and map to
+    /// `None`.
+    pub fn flatten<N: Copy>(ev: Event<'_, N>, key: impl Fn(N) -> u64) -> Option<Self> {
+        Some(match ev {
+            Event::Height(h) => Self::Height(h),
+            Event::Stamp(n) => Self::Stamp(key(n)),
+            Event::Claim(n) => Self::Claim(key(n)),
+            Event::HintSet(n) => Self::HintSet(key(n)),
+            Event::HintClear => Self::HintClear,
+            Event::Retire(n) => Self::Retire(key(n)),
+            Event::RetireBatch(batch) => Self::RetireBatch(batch.iter().map(|&n| key(n)).collect()),
+            Event::Deleted | Event::Empty => return None,
+            Event::Phase(phase) => Self::Phase(phase),
+        })
+    }
 }
 
 /// Result of [`crate::SkipAlgo::insert`].
@@ -81,7 +138,9 @@ pub enum InsertResult {
 /// Key/value ownership never crosses this trait: operands are staged into
 /// the platform (which is instantiated per call on both runtimes) before an
 /// operation starts, and results are read back out of it afterwards. The
-/// algorithm itself only manipulates `Node` handles and `SearchKey`s.
+/// same per-call instance holds any per-operation state (the native GC pin,
+/// the simulator's history-tap times). The algorithm itself only
+/// manipulates `Node` handles and `SearchKey`s.
 ///
 /// `async` here does not imply an executor requirement: the native platform
 /// returns only immediately-ready futures and is driven by a single poll.
@@ -94,12 +153,6 @@ pub trait Platform {
     /// new/victim node handle itself (native — keys live in nodes) or the
     /// raw key word (simulator).
     type SearchKey: Copy;
-    /// Token carried from [`Platform::insert_prepare`] to
-    /// [`Platform::materialize`] (native: the pre-allocated node).
-    type Prep;
-    /// Per-operation state: GC slot (native) or operation start/invocation
-    /// times for the history tap (simulator).
-    type Ctx;
 
     /// Insert is dictionary-style (Figure 10 lines 10–16): lock the level-0
     /// predecessor first, and update in place when the key already exists.
@@ -120,37 +173,37 @@ pub trait Platform {
     /// mode skips the read entirely and relies on the claiming SWAP.
     const RELAXED_CLAIM_READS_STAMP: bool;
 
-    /// Starts an operation (native: nothing; simulator: records the
-    /// operation start time for the history tap).
-    fn op_begin(&self) -> Self::Ctx;
+    /// Observes an algorithm [`Event`]. Not a step of the algorithm: the
+    /// simulator charges nothing for it and the native platform pays one
+    /// branch when no test seam is attached. Test seams may inject
+    /// concurrent operations at [`Event::Phase`] points.
+    fn event(&self, ev: Event<'_, Self::Node>);
+
     /// GC entry registration (§3): native quiescence-slot pin, simulator
     /// entry-time registry write.
-    async fn enter(&self, ctx: &mut Self::Ctx);
+    async fn enter(&self);
     /// GC exit registration: unpin / registry `MAX_TIME` write.
-    async fn exit(&self, ctx: &mut Self::Ctx);
+    async fn exit(&self);
 
     // ---- insert ----
 
-    /// Stages the insert: returns the search operand and the prep token.
-    /// Native draws the tower height, assigns the FIFO sequence number and
-    /// allocates the node here; the simulator just surfaces the key (its
-    /// height draw and allocation sit after the dictionary check, in
+    /// Stages the insert and returns its search operand. Native draws the
+    /// tower height, assigns the FIFO sequence number and allocates the
+    /// node here; the simulator just surfaces the key (its height draw and
+    /// allocation sit after the dictionary check, in
     /// [`Platform::materialize`], preserving RNG draw order).
-    fn insert_prepare(&self) -> (Self::SearchKey, Self::Prep);
+    fn insert_prepare(&self) -> Self::SearchKey;
     /// Produces the linked-to-be node and its height (Figure 10 lines
     /// 17–19). Simulator: draws the height and allocates/initializes the
     /// node with charged cost.
-    fn materialize(&self, prep: Self::Prep, skey: Self::SearchKey) -> (Self::Node, usize);
+    fn materialize(&self, skey: Self::SearchKey) -> (Self::Node, usize);
     /// Dictionary hit: overwrite `node`'s value in place (only reachable
     /// when [`Platform::DICT_INSERT`]).
     async fn update_in_place(&self, node: Self::Node);
     /// Publishes the time stamp (Figure 10 line 29): native stores a global
     /// clock tick; the simulator reads the simulated clock (strict) or
     /// writes `0` (relaxed).
-    async fn store_stamp(&self, ctx: &Self::Ctx, node: Self::Node);
-    /// Insert completion notification (simulator: history-tap record, placed
-    /// after the stamp write has landed).
-    fn record_insert(&self, ctx: &Self::Ctx, node: Self::Node);
+    async fn store_stamp(&self, node: Self::Node);
 
     // ---- traversal ----
 
@@ -181,11 +234,9 @@ pub trait Platform {
 
     // ---- delete-min ----
 
-    /// Strict mode's `getTime()` (Figure 11 line 1).
-    async fn delete_read_clock(&self, ctx: &mut Self::Ctx) -> u64;
-    /// Relaxed mode's stand-in for the clock read: returns the "consider
-    /// everything" bound without touching the clock.
-    fn relaxed_delete_time(&self, ctx: &mut Self::Ctx) -> u64;
+    /// Strict mode's `getTime()` (Figure 11 line 1). Relaxed mode (§5.4)
+    /// skips it and considers every stamp below `u64::MAX`.
+    async fn delete_read_clock(&self) -> u64;
     /// Loads `node`'s time stamp (`u64::MAX` = insert incomplete).
     async fn load_stamp(&self, node: Self::Node) -> u64;
     /// Loads `node`'s deleted mark (batched-mode TTAS filter and the
@@ -194,27 +245,17 @@ pub trait Platform {
     /// The claiming `SWAP` (Figure 11 line 7): marks `node` deleted and
     /// returns the previous mark — `false` means this caller won the node.
     async fn swap_deleted(&self, node: Self::Node) -> bool;
-    /// Notification that `node` was claimed (simulator relaxed mode stamps
-    /// the operation's linearization here; tracing records the claim).
-    fn note_claim(&self, ctx: &mut Self::Ctx, node: Self::Node);
     /// Moves the claimed node's key/value out into the platform's result
     /// slot. The winner of the SWAP is the unique caller.
-    async fn take_payload(&self, ctx: &mut Self::Ctx, node: Self::Node);
+    async fn take_payload(&self, node: Self::Node);
     /// Search operand that re-finds `victim`'s predecessors (native: the
     /// victim handle; simulator: the key word saved by `take_payload`).
-    fn victim_search_key(&self, ctx: &Self::Ctx, victim: Self::Node) -> Self::SearchKey;
+    fn victim_search_key(&self, victim: Self::Node) -> Self::SearchKey;
     /// `victim`'s tower height (free on native; a charged READ of the level
     /// word on the simulator).
     async fn victim_height(&self, victim: Self::Node) -> usize;
-    /// Debug-build check that `pred` points at `victim` at `lvl` (native
-    /// asserts; the simulator cannot cheaply, and skips it).
-    fn debug_check_pred(&self, pred: Self::Node, victim: Self::Node, lvl: usize);
     /// Retires one eagerly-unlinked node to the collector / garbage list.
-    async fn retire_one(&self, ctx: &Self::Ctx, victim: Self::Node, height: usize);
-    /// Delete-min completion notification with a claimed payload.
-    fn record_delete(&self, ctx: &Self::Ctx);
-    /// Delete-min completion notification for EMPTY.
-    fn record_delete_empty(&self, ctx: &Self::Ctx);
+    async fn retire_one(&self, victim: Self::Node, height: usize);
 
     // ---- batched physical deletion ----
 
@@ -246,26 +287,14 @@ pub trait Platform {
     /// ends the collection at this node.
     async fn batch_handshake(&self, node: Self::Node) -> bool;
     /// Marks `node` as a batch member and returns its height (native: a
-    /// flag store + free height; simulator: a charged READ of the level).
+    /// flag store + free height; simulator: a host-side set insert + a
+    /// charged READ of the level).
     async fn note_batch_member(&self, node: Self::Node) -> usize;
-    /// Called once after Phase 1 with the complete batch (simulator builds
-    /// its membership set here).
-    fn seal_batch(&self, batch: &[Self::Node]);
     /// Membership test used by the Phase-3 counting sweep.
     fn is_batch_member(&self, node: Self::Node) -> bool;
     /// Phase 5: drop the batch from the deferred accounting and retire it
     /// as a group to the collector / garbage lists.
-    async fn retire_unlinked_batch(
-        &self,
-        ctx: &Self::Ctx,
-        batch: Vec<Self::Node>,
-        heights: &[usize],
-    );
-    /// Test seam: invoked at fixed points inside the cleaner so a platform
-    /// can inject concurrent work (e.g. an insert that bumps the epoch) and
-    /// exercise the Phase-4 abort paths deterministically. Production
-    /// platforms leave it a no-op.
-    fn phase_hook(&self, phase: CleanupPhase);
+    async fn retire_unlinked_batch(&self, batch: Vec<Self::Node>, heights: &[usize]);
 }
 
 /// Extension for platforms whose keys can be surfaced by value: enables the

@@ -23,7 +23,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
-use pqalgo::{CleanupPhase, InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
+use pqalgo::{Event, InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
 use pqsim::{Addr, Cycles, LockId, Machine, Pcg32, Proc, Sim, Word, NULL};
 
 use crate::tap::HistoryTap;
@@ -288,7 +288,6 @@ impl SimSkipQueue {
             max_height: self.max_level,
             strict: self.strict,
             batched: self.unlink_batch != 0,
-            buggy_abort_keeps_hint: false,
         }
     }
 
@@ -516,22 +515,18 @@ impl Clone for SimSkipQueue {
     }
 }
 
-/// Per-operation history-tap state: the operation's start time and its
+/// One public SkipQueue call on one simulated processor: the charged
+/// [`Platform`] the shared algorithm runs on. Operands are staged into
+/// `input` before the call and results land in `out`; both are host-side
+/// cells, like the paper's out-of-machine instrumentation.
+///
+/// The history-tap times live here too: the operation's start time and its
 /// current best guess at its serialization point. A strict delete
 /// serializes its candidate set at the initial `getTime()` read; a relaxed
 /// delete is stamped at its claim SWAP — the first instant it commits to a
 /// node — so that an audit hit of `insert responded > delete invoked`
 /// proves the claimed node was still mid-insert (its stamp write had not
 /// landed), which the strict eligibility check makes impossible.
-struct SimCtx {
-    op_start: Cycles,
-    invoked: Cycles,
-}
-
-/// One public SkipQueue call on one simulated processor: the charged
-/// [`Platform`] the shared algorithm runs on. Operands are staged into
-/// `input` before the call and results land in `out`; both are host-side
-/// cells, like the paper's out-of-machine instrumentation.
 struct SimOp<'a> {
     q: &'a SimSkipQueue,
     p: &'a Proc,
@@ -541,38 +536,37 @@ struct SimOp<'a> {
     out: Cell<(u64, u64)>,
     /// The cleaner's batch membership set (host arithmetic, free).
     members: RefCell<HashSet<Addr>>,
+    /// Simulated time the operation started.
+    op_start: Cycles,
+    /// The operation's serialization point so far (history tap).
+    invoked: Cell<Cycles>,
 }
 
 impl<'a> SimOp<'a> {
     fn new(q: &'a SimSkipQueue, p: &'a Proc) -> Self {
+        let now = p.now();
         Self {
             q,
             p,
             input: Cell::new((0, 0)),
             out: Cell::new((0, 0)),
             members: RefCell::new(HashSet::new()),
+            op_start: now,
+            invoked: Cell::new(now),
         }
     }
 
-    /// Host-side key peek for decision traces (free: traces must not change
-    /// the charged sequence). Sentinel keys are already the flattened
-    /// `0`/`u64::MAX` the trace vocabulary wants.
-    fn trace_key(&self, node: Addr) -> u64 {
+    /// Host-side key peek (free: observation must not change the charged
+    /// sequence). Sentinel keys are already the flattened `0`/`u64::MAX`
+    /// the trace vocabulary wants.
+    fn host_key(&self, node: Addr) -> u64 {
         self.p.with_machine(|m| m.mem.peek(node + KEY))
-    }
-
-    fn trace(&self, make: impl FnOnce() -> TraceEvent) {
-        if let Some(t) = &self.q.trace {
-            t.borrow_mut().push(make());
-        }
     }
 }
 
 impl Platform for SimOp<'_> {
     type Node = Addr;
     type SearchKey = u64;
-    type Prep = ();
-    type Ctx = SimCtx;
 
     // The simulator keeps the paper's exact shape: dictionary insert,
     // victim re-found by key, payload read before the unlink, and a relaxed
@@ -582,34 +576,50 @@ impl Platform for SimOp<'_> {
     const EAGER_PAYLOAD_FIRST: bool = true;
     const RELAXED_CLAIM_READS_STAMP: bool = false;
 
-    fn op_begin(&self) -> SimCtx {
-        let t = self.p.now();
-        SimCtx {
-            op_start: t,
-            invoked: t,
+    fn event(&self, ev: Event<'_, Addr>) {
+        if let Some(tap) = &self.q.tap {
+            let now = self.p.now();
+            match ev {
+                // The insert counts as responded once the stamp write has
+                // *landed*: only then is the node guaranteed visible to every
+                // later delete-min scan (the stamp's clock value is read a
+                // little earlier, but a scan racing the write still sees
+                // MAX_TIME and legally skips the node).
+                Event::Stamp(_) => tap.record_insert(self.input.get().1, self.op_start, now),
+                Event::Claim(_) if !self.q.strict => self.invoked.set(now),
+                Event::Deleted => {
+                    tap.record_delete(Some(self.out.get().1), self.invoked.get(), now)
+                }
+                Event::Empty => tap.record_delete(None, self.invoked.get(), now),
+                _ => {}
+            }
+        }
+        if let Some(t) = &self.q.trace {
+            if let Some(ev) = TraceEvent::flatten(ev, |n| self.host_key(n)) {
+                t.borrow_mut().push(ev);
+            }
         }
     }
 
-    async fn enter(&self, _ctx: &mut SimCtx) {
+    async fn enter(&self) {
         // §3: "Each processor registers the time it has entered the
         // structure in a special place in shared memory."
         let t = self.p.now();
         self.p.write(self.q.registry + self.p.pid(), t).await;
     }
 
-    async fn exit(&self, _ctx: &mut SimCtx) {
+    async fn exit(&self) {
         self.p.write(self.q.registry + self.p.pid(), MAX_TIME).await;
     }
 
-    fn insert_prepare(&self) -> (u64, ()) {
-        (self.input.get().0, ())
+    fn insert_prepare(&self) -> u64 {
+        self.input.get().0
     }
 
-    fn materialize(&self, _prep: (), skey: u64) -> (Addr, usize) {
+    fn materialize(&self, skey: u64) -> (Addr, usize) {
         // Lines 17–19, placed after the dictionary check to preserve the
         // historical RNG draw order (figure CSVs are byte-compared).
         let height = self.p.random_level(self.q.p_level, self.q.max_level);
-        self.trace(|| TraceEvent::Height(height));
         let node = self.q.alloc_node(self.p, skey, self.input.get().1, height);
         (node, height)
     }
@@ -626,25 +636,13 @@ impl Platform for SimOp<'_> {
         self.p.write(node + VALUE, self.input.get().1).await;
     }
 
-    async fn store_stamp(&self, _ctx: &SimCtx, node: Addr) {
+    async fn store_stamp(&self, node: Addr) {
         if self.q.strict {
             let t = self.p.read_clock().await;
             self.p.write(node + TIMESTAMP, t).await;
         } else {
             // Relaxed variant (§5.4): no stamping; mark as visible.
             self.p.write(node + TIMESTAMP, 0).await;
-        }
-        self.trace(|| TraceEvent::Stamp(self.input.get().0));
-    }
-
-    fn record_insert(&self, ctx: &SimCtx, _node: Addr) {
-        if let Some(tap) = &self.q.tap {
-            // The insert counts as responded once the stamp write has
-            // *landed*: only then is the node guaranteed visible to every
-            // later delete-min scan (the stamp's clock value is read a
-            // little earlier, but a scan racing the write still sees
-            // MAX_TIME and legally skips the node).
-            tap.record_insert(self.input.get().1, ctx.op_start, self.p.now());
         }
     }
 
@@ -690,16 +688,12 @@ impl Platform for SimOp<'_> {
         self.p.release(l).await;
     }
 
-    async fn delete_read_clock(&self, ctx: &mut SimCtx) -> u64 {
-        // Line 1: the strict delete serializes its candidate set here.
+    async fn delete_read_clock(&self) -> u64 {
+        // Line 1: the strict delete serializes its candidate set here (a
+        // relaxed delete's `invoked` moves at its claim SWAP instead).
         let t = self.p.read_clock().await;
-        ctx.invoked = t;
+        self.invoked.set(t);
         t
-    }
-
-    fn relaxed_delete_time(&self, _ctx: &mut SimCtx) -> u64 {
-        // `invoked` stays at the operation start until the claim SWAP.
-        MAX_TIME
     }
 
     async fn load_stamp(&self, node: Addr) -> u64 {
@@ -714,21 +708,14 @@ impl Platform for SimOp<'_> {
         self.p.swap(node + DELETED, 1).await != 0
     }
 
-    fn note_claim(&self, ctx: &mut SimCtx, node: Addr) {
-        if !self.q.strict {
-            ctx.invoked = self.p.now();
-        }
-        self.trace(|| TraceEvent::Claim(self.trace_key(node)));
-    }
-
-    async fn take_payload(&self, _ctx: &mut SimCtx, node: Addr) {
+    async fn take_payload(&self, node: Addr) {
         // Lines 11–13: save the value and key.
         let value = self.p.read(node + VALUE).await;
         let key = self.p.read(node + KEY).await;
         self.out.set((key, value));
     }
 
-    fn victim_search_key(&self, _ctx: &SimCtx, _victim: Addr) -> u64 {
+    fn victim_search_key(&self, _victim: Addr) -> u64 {
         self.out.get().0
     }
 
@@ -736,31 +723,13 @@ impl Platform for SimOp<'_> {
         self.p.read(victim + LEVEL).await as usize
     }
 
-    fn debug_check_pred(&self, _pred: Addr, _victim: Addr, _lvl: usize) {
-        // The simulator re-finds the victim by key (REFIND_VICTIM), so the
-        // exact-predecessor identity the native queue asserts need not hold.
-    }
-
-    async fn retire_one(&self, _ctx: &SimCtx, victim: Addr, height: usize) {
-        self.trace(|| TraceEvent::Retire(self.trace_key(victim)));
+    async fn retire_one(&self, victim: Addr, height: usize) {
         self.p.work(8); // local bookkeeping for the garbage-list push
         self.q
             .garbage
             .borrow_mut()
             .push((victim, node_words(height), self.p.now()));
         self.q.stats.borrow_mut().retired += 1;
-    }
-
-    fn record_delete(&self, ctx: &SimCtx) {
-        if let Some(tap) = &self.q.tap {
-            tap.record_delete(Some(self.out.get().1), ctx.invoked, self.p.now());
-        }
-    }
-
-    fn record_delete_empty(&self, ctx: &SimCtx) {
-        if let Some(tap) = &self.q.tap {
-            tap.record_delete(None, ctx.invoked, self.p.now());
-        }
     }
 
     fn deferred_push(&self, node: Addr) -> bool {
@@ -787,23 +756,15 @@ impl Platform for SimOp<'_> {
     }
 
     async fn store_hint(&self, hint: Option<Addr>) {
-        match hint {
-            Some(node) => {
-                self.p.write(self.q.batch_words + 1, Word::from(node)).await;
-                self.trace(|| TraceEvent::HintSet(self.trace_key(node)));
-            }
-            None => {
-                self.p.write(self.q.batch_words + 1, Word::from(NULL)).await;
-                self.trace(|| TraceEvent::HintClear);
-            }
-        }
+        let word = Word::from(hint.unwrap_or(NULL));
+        self.p.write(self.q.batch_words + 1, word).await;
     }
 
     async fn hint_key_gt(&self, hint: Addr, node: Addr) -> bool {
         // One charged READ of the hint's key; the new node's key is the
         // operand word the processor already holds locally.
         let hk = self.p.read(hint + KEY).await;
-        hk > self.trace_key(node)
+        hk > self.host_key(node)
     }
 
     async fn bump_epoch(&self, node: Addr) {
@@ -840,19 +801,15 @@ impl Platform for SimOp<'_> {
     }
 
     async fn note_batch_member(&self, node: Addr) -> usize {
+        self.members.borrow_mut().insert(node);
         self.p.read(node + LEVEL).await as usize
-    }
-
-    fn seal_batch(&self, batch: &[Addr]) {
-        *self.members.borrow_mut() = batch.iter().copied().collect();
     }
 
     fn is_batch_member(&self, node: Addr) -> bool {
         self.members.borrow().contains(&node)
     }
 
-    async fn retire_unlinked_batch(&self, _ctx: &SimCtx, batch: Vec<Addr>, heights: &[usize]) {
-        self.trace(|| TraceEvent::RetireBatch(batch.iter().map(|&n| self.trace_key(n)).collect()));
+    async fn retire_unlinked_batch(&self, batch: Vec<Addr>, heights: &[usize]) {
         self.p.work(8 * batch.len() as u64);
         let members = self.members.borrow();
         self.q
@@ -867,11 +824,6 @@ impl Platform for SimOp<'_> {
             }
         }
         self.q.stats.borrow_mut().retired += batch.len() as u64;
-    }
-
-    fn phase_hook(&self, _phase: CleanupPhase) {
-        // The simulator injects concurrency with real processors, not
-        // phase hooks.
     }
 }
 

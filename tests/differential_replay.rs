@@ -5,14 +5,15 @@
 //! serial schedule. Tower heights are the one source of randomness, so the
 //! simulator's draws are recorded and forced onto the native queue via its
 //! height script; after that, per-operation results and the platform-neutral
-//! decision-trace event streams (claims, stamps, hint traffic, retirements)
-//! must match event for event.
+//! decision-trace event streams (claims, stamps, hint traffic, retirements,
+//! and the order in which the batched cleaner reaches its phase points) must
+//! match event for event.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-use pqalgo::TraceEvent;
+use pqalgo::{CleanupPhase, TraceEvent};
 use pqsim::{Sim, SimConfig};
 use simpq::SimSkipQueue;
 use skipqueue::SkipQueue;
@@ -179,6 +180,16 @@ fn differential_replay_batched_strict() {
         trace.iter().any(|e| matches!(e, TraceEvent::HintSet(_))),
         "batched replay must publish a scan hint"
     );
+    for phase in [
+        CleanupPhase::PreCollect,
+        CleanupPhase::PrePublish,
+        CleanupPhase::PostPublish,
+    ] {
+        assert!(
+            trace.contains(&TraceEvent::Phase(phase)),
+            "batched replay must reach the cleaner's {phase:?} point"
+        );
+    }
     assert_replay_matches(13, 300, true, Some(4));
 }
 
