@@ -128,7 +128,6 @@ pub struct SkipQueue<K, V> {
     /// is ever hidden from a later scan (Definition 1).
     front_epoch: CachePadded<AtomicU64>,
     max_height: usize,
-    p_level: f64,
     /// Strict mode runs the paper's time-stamp mechanism; relaxed mode (§5.4)
     /// omits it and may return concurrently inserted items.
     strict: bool,
@@ -370,14 +369,9 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
 
     async fn store_next(&self, node: Self::Node, lvl: usize, to: Self::Node) {
         // SAFETY: platform contract; the algorithm holds `node`'s level
-        // lock here (locking invariant in the module docs).
+        // lock here, or `node` is this insert's own unpublished node
+        // (locking invariant in the module docs).
         unsafe { (*node).levels[lvl].next.store(to, Ordering::Release) }
-    }
-
-    async fn store_next_init(&self, node: Self::Node, lvl: usize, to: Self::Node) {
-        // SAFETY: `node` is unpublished (this insert's own); Relaxed is
-        // enough because the publishing store below it is Release.
-        unsafe { (*node).levels[lvl].next.store(to, Ordering::Relaxed) }
     }
 
     async fn key_lt(&self, node: Self::Node, skey: Self::SearchKey) -> bool {
@@ -567,25 +561,23 @@ impl<K: Ord, V> SkipQueue<K, V> {
     /// default parameters: height cap 24, level probability 1/2, up to 256
     /// threads.
     pub fn new() -> Self {
-        Self::with_params(DEFAULT_MAX_HEIGHT, 0.5, true, 256)
+        Self::with_params(DEFAULT_MAX_HEIGHT, true, 256)
     }
 
     /// Creates the paper's *relaxed* variant (§5.4): no time stamps, so a
     /// `delete_min` may return an item whose insert was concurrent with it.
     pub fn new_relaxed() -> Self {
-        Self::with_params(DEFAULT_MAX_HEIGHT, 0.5, false, 256)
+        Self::with_params(DEFAULT_MAX_HEIGHT, false, 256)
     }
 
     /// Full-control constructor.
     ///
     /// * `max_height` — tower cap, `1..=32`; ~log2 of the expected maximum
     ///   queue size is ideal (the paper uses exactly this "simple method").
-    /// * `p_level` — probability a tower grows another level (paper: 1/2).
     /// * `strict` — run the time-stamp ordering mechanism.
     /// * `max_threads` — bound on distinct threads ever touching the queue.
-    pub fn with_params(max_height: usize, p_level: f64, strict: bool, max_threads: usize) -> Self {
+    pub fn with_params(max_height: usize, strict: bool, max_threads: usize) -> Self {
         assert!((1..=MAX_HEIGHT).contains(&max_height));
-        assert!(p_level > 0.0 && p_level < 1.0);
         let tail = Node::alloc(IKey::PosInf, None, max_height);
         let head = Node::alloc(IKey::NegInf, None, max_height);
         // SAFETY: freshly allocated, exclusively owned here.
@@ -605,7 +597,6 @@ impl<K: Ord, V> SkipQueue<K, V> {
             front: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
             front_epoch: CachePadded::new(AtomicU64::new(0)),
             max_height,
-            p_level,
             strict,
             unlink_batch: 0,
             gc: Collector::new(max_threads),
@@ -640,20 +631,12 @@ impl<K: Ord, V> SkipQueue<K, V> {
     }
 
     fn random_height(&self) -> usize {
-        if self.p_level == 0.5 {
-            // One RNG word decides the whole tower: each consecutive set low
-            // bit is an independent p = 1/2 "grow another level" success, so
-            // `1 + trailing_ones` has exactly the right geometric law and
-            // costs one xorshift instead of one per level.
-            let h = 1 + thread_rng_next().trailing_ones() as usize;
-            return h.min(self.max_height);
-        }
-        let mut h = 1;
-        let threshold = (self.p_level * 2f64.powi(32)) as u64;
-        while h < self.max_height && (thread_rng_next() & 0xFFFF_FFFF) < threshold {
-            h += 1;
-        }
-        h
+        // One RNG word decides the whole tower: each consecutive set low
+        // bit is an independent p = 1/2 "grow another level" success (the
+        // paper's level probability), so `1 + trailing_ones` has exactly the
+        // right geometric law and costs one xorshift instead of one per level.
+        let h = 1 + thread_rng_next().trailing_ones() as usize;
+        h.min(self.max_height)
     }
 
     /// Tower height for the next insert: scripted (tests) or random.
@@ -1187,7 +1170,7 @@ mod tests {
 
     #[test]
     fn min_height_queue_works() {
-        let mut q: SkipQueue<u64, ()> = SkipQueue::with_params(1, 0.5, true, 4);
+        let mut q: SkipQueue<u64, ()> = SkipQueue::with_params(1, true, 4);
         for k in [3u64, 1, 2] {
             q.insert(k, ());
         }
@@ -1504,9 +1487,9 @@ mod tests {
 
     #[test]
     fn random_height_distribution_sane() {
-        // The one-word fast path must keep the geometric(1/2) shape: about
+        // The one-word draw must keep the geometric(1/2) shape: about
         // half the towers are height 1, none exceed the cap.
-        let q: SkipQueue<u64, ()> = SkipQueue::with_params(8, 0.5, true, 4);
+        let q: SkipQueue<u64, ()> = SkipQueue::with_params(8, true, 4);
         let mut counts = [0usize; 9];
         for _ in 0..20_000 {
             let h = q.random_height();

@@ -37,7 +37,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use histcheck::{History, RankSummary, Recorder, TicketClock};
-use shardq::{InsertPolicy, ShardedSkipQueue};
+use shardq::ShardedSkipQueue;
 use skipqueue::SkipQueue;
 
 use hist::LatencyHist;
@@ -268,15 +268,9 @@ impl BenchQueue {
             // split it across shards, or every peek/claim walk pays the
             // full single-queue deleted-prefix length — times the sample
             // width.
-            RunMode::Sharded { shards, sample } => {
-                BenchQueue::Sharded(ShardedSkipQueue::with_params(
-                    shards,
-                    sample,
-                    (cfg.unlink_batch / shards).max(1),
-                    InsertPolicy::RoundRobin,
-                    true,
-                ))
-            }
+            RunMode::Sharded { shards, sample } => BenchQueue::Sharded(
+                ShardedSkipQueue::with_params(shards, sample, (cfg.unlink_batch / shards).max(1)),
+            ),
         }
     }
 

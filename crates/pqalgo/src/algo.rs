@@ -120,7 +120,7 @@ impl<N: Copy + Eq + core::fmt::Debug> SkipAlgo<N> {
                 self.get_lock(p, level_pred, skey, lvl).await
             };
             let nxt = p.load_next(pred, lvl).await;
-            p.store_next_init(node, lvl, nxt).await;
+            p.store_next(node, lvl, nxt).await;
             p.store_next(pred, lvl, node).await;
             p.unlock_level(pred, lvl).await;
         }

@@ -19,7 +19,9 @@
 //! Paper correspondence (Lotan & Shavit, IPDPS 2000):
 //!
 //! * `key_lt` + `load_next` + `lock_level` are the memory operations of
-//!   `getLock` (Figure 9) and the level search (Figures 10/11).
+//!   `getLock` (Figure 9) and the level search (Figures 10/11);
+//!   `store_next` is every pointer write of Figure 10 lines 21–27, both the
+//!   new node's own forward pointers and the predecessor's relink.
 //! * `swap_deleted` is the claiming `SWAP` of Figure 11 line 7.
 //! * `delete_read_clock` / `store_stamp` are `getTime()` and the
 //!   `timeStamp` write (Figure 10 line 29, Figure 11 line 1).
@@ -210,11 +212,9 @@ pub trait Platform {
     /// Loads `node`'s level-`lvl` forward pointer (`Acquire` / charged READ).
     async fn load_next(&self, node: Self::Node, lvl: usize) -> Self::Node;
     /// Stores `node`'s level-`lvl` forward pointer (`Release` / charged
-    /// WRITE). Caller holds the level lock.
+    /// WRITE). Caller holds the level lock, or `node` is its own
+    /// not-yet-published insert.
     async fn store_next(&self, node: Self::Node, lvl: usize, to: Self::Node);
-    /// Like [`Platform::store_next`] but for a node not yet published
-    /// (native relaxes the ordering; the simulator charges the same WRITE).
-    async fn store_next_init(&self, node: Self::Node, lvl: usize, to: Self::Node);
     /// `node.key < skey` — the search/`getLock` advance test. The simulator
     /// charges one READ of the node's key per call.
     async fn key_lt(&self, node: Self::Node, skey: Self::SearchKey) -> bool;

@@ -16,8 +16,8 @@
 //! [`ShardedSkipQueue`] composes three mechanisms:
 //!
 //! * **Sharding** — `k` cache-padded strict [`SkipQueue`]s (batched
-//!   physical deletion by default). Inserts are routed by a per-thread
-//!   policy ([`InsertPolicy`]); `delete_min` samples `c` distinct shards
+//!   physical deletion by default). Each thread strides its inserts
+//!   round-robin across the shards; `delete_min` samples `c` distinct shards
 //!   (default `c = 2`, the classic power-of-two-choices width), peeks each
 //!   front with [`SkipQueue::peek_min_key`], and claims from the shard
 //!   whose front key is smallest.
@@ -52,20 +52,8 @@ pub const DEFAULT_SAMPLE: usize = 2;
 /// Sampling widths beyond this clamp to a full scan of all shards.
 const MAX_SAMPLE: usize = 8;
 
-/// Default spin budget for a parked deleter in the elimination array.
+/// Spin budget for a parked deleter in the elimination array.
 pub const DEFAULT_ELIM_SPINS: u32 = 128;
-
-/// How inserts pick a shard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InsertPolicy {
-    /// Each thread strides round-robin across all shards from a
-    /// thread-specific starting offset: uniform load, cold caches.
-    RoundRobin,
-    /// Each thread always inserts into one thread-specific shard: warm
-    /// caches and near-zero insert contention, but a shard whose owner
-    /// stops inserting can run dry and skew sampling.
-    Affinity,
-}
 
 /// Sharded multi-queue: `k` native SkipQueues behind sample-`c`-of-`k`
 /// delete-min and a bounded elimination array. See the [module docs](self)
@@ -79,9 +67,7 @@ pub enum InsertPolicy {
 pub struct ShardedSkipQueue<K: Ord + Copy, V> {
     shards: Box<[CachePadded<SkipQueue<K, V>>]>,
     sample: usize,
-    policy: InsertPolicy,
-    elim: Option<EliminationArray<K, V>>,
-    elim_spins: u32,
+    elim: EliminationArray<K, V>,
     /// Claims that went through the exact-scan fallback (rare path, so a
     /// shared counter here doesn't perturb the sampled fast path).
     fallback_claims: CachePadded<AtomicU64>,
@@ -89,7 +75,7 @@ pub struct ShardedSkipQueue<K: Ord + Copy, V> {
 
 impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
     /// `shards` strict batched SkipQueues, sample width
-    /// [`DEFAULT_SAMPLE`], round-robin insert routing, elimination on.
+    /// [`DEFAULT_SAMPLE`].
     ///
     /// The default unlink threshold is treated as a *system-wide*
     /// claimed-prefix budget and split across shards: every `delete_min`
@@ -101,22 +87,14 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
             shards,
             DEFAULT_SAMPLE,
             (DEFAULT_UNLINK_BATCH / shards).max(1),
-            InsertPolicy::RoundRobin,
-            true,
         )
     }
 
     /// Full-knob constructor. `unlink_batch = 0` keeps every shard on the
     /// paper's eager per-delete unlink; `sample` is clamped to the shard
     /// count (and to 8 — beyond that a full scan is cheaper than distinct
-    /// sampling). `elimination` sizes the array at one slot per shard.
-    pub fn with_params(
-        shards: usize,
-        sample: usize,
-        unlink_batch: usize,
-        policy: InsertPolicy,
-        elimination: bool,
-    ) -> Self {
+    /// sampling). The elimination array has one slot per shard.
+    pub fn with_params(shards: usize, sample: usize, unlink_batch: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         assert!(sample >= 1, "sample width must be at least 1");
         Self {
@@ -124,9 +102,7 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
                 .map(|_| CachePadded::new(SkipQueue::new().with_unlink_batch(unlink_batch)))
                 .collect(),
             sample: sample.min(MAX_SAMPLE),
-            policy,
-            elim: elimination.then(|| EliminationArray::new(shards)),
-            elim_spins: DEFAULT_ELIM_SPINS,
+            elim: EliminationArray::new(shards),
             fallback_claims: CachePadded::new(AtomicU64::new(0)),
         }
     }
@@ -143,7 +119,7 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
 
     /// Successful elimination hand-offs so far.
     pub fn elimination_hits(&self) -> u64 {
-        self.elim.as_ref().map_or(0, |e| e.hits())
+        self.elim.hits()
     }
 
     /// Claims served by the exact-scan fallback so far.
@@ -168,17 +144,12 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
     }
 
     /// Inserts `value` at priority `key`: first offered to a parked
-    /// deleter whose bound admits it, otherwise routed to a shard by the
-    /// configured [`InsertPolicy`].
+    /// deleter whose bound admits it, otherwise to the calling thread's
+    /// next round-robin shard.
     pub fn insert(&self, key: K, value: V) {
-        let (key, value) = match &self.elim {
-            Some(elim) => match elim.try_eliminate(key, value) {
-                Ok(()) => return,
-                Err(kv) => kv,
-            },
-            None => (key, value),
-        };
-        self.shards[self.route()].insert(key, value);
+        if let Err((key, value)) = self.elim.try_eliminate(key, value) {
+            self.shards[self.route()].insert(key, value);
+        }
     }
 
     /// Removes an item of (approximately) minimum priority.
@@ -238,10 +209,11 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
             }
             // Lost the claim race: park where an insert with a key no
             // larger than the front we just saw can hand over directly.
-            if let Some(elim) = &self.elim {
-                if let Some(kv) = elim.park(front, self.elim_spins, thread_ordinal() % k) {
-                    return Some(kv);
-                }
+            if let Some(kv) = self
+                .elim
+                .park(front, DEFAULT_ELIM_SPINS, thread_ordinal() % k)
+            {
+                return Some(kv);
             }
         }
         self.delete_min_exact()
@@ -310,14 +282,12 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
         if k == 1 {
             return 0;
         }
-        match self.policy {
-            InsertPolicy::Affinity => thread_ordinal() % k,
-            InsertPolicy::RoundRobin => RR.with(|c| {
-                let n = c.get();
-                c.set(n.wrapping_add(1));
-                (thread_ordinal().wrapping_add(n)) % k
-            }),
-        }
+        // Stride from a thread-specific starting offset: uniform load.
+        RR.with(|c| {
+            let n = c.get();
+            c.set(n.wrapping_add(1));
+            (thread_ordinal().wrapping_add(n)) % k
+        })
     }
 }
 
@@ -344,8 +314,6 @@ impl<K: Ord + Copy, V> std::fmt::Debug for ShardedSkipQueue<K, V> {
         f.debug_struct("ShardedSkipQueue")
             .field("shards", &self.shards.len())
             .field("sample", &self.sample)
-            .field("policy", &self.policy)
-            .field("elimination", &self.elim.is_some())
             .field("len", &self.len())
             .finish()
     }
@@ -360,7 +328,7 @@ thread_local! {
 }
 
 /// A stable, well-spread per-thread integer (Fibonacci-hashed TLS
-/// address) used for affinity routing and RNG seeding.
+/// address) used for routing, elimination slots and RNG seeding.
 fn thread_seed() -> u64 {
     thread_local! {
         static TOKEN: u8 = const { 0 };
@@ -425,8 +393,7 @@ mod tests {
         // 8 shards, one item: a c=2 sample usually misses it, so this
         // only passes because the exact-scan fallback kicks in.
         for _ in 0..32 {
-            let q: ShardedSkipQueue<u64, &'static str> =
-                ShardedSkipQueue::with_params(8, 2, 0, InsertPolicy::Affinity, false);
+            let q: ShardedSkipQueue<u64, &'static str> = ShardedSkipQueue::with_params(8, 2, 0);
             q.insert(42, "lone");
             assert_eq!(q.delete_min(), Some((42, "lone")));
             assert_eq!(q.delete_min(), None);
@@ -435,8 +402,7 @@ mod tests {
 
     #[test]
     fn round_robin_touches_every_shard() {
-        let q: ShardedSkipQueue<u64, u64> =
-            ShardedSkipQueue::with_params(4, 2, 0, InsertPolicy::RoundRobin, false);
+        let q: ShardedSkipQueue<u64, u64> = ShardedSkipQueue::with_params(4, 2, 0);
         for i in 0..100 {
             q.insert(i, i);
         }
@@ -445,22 +411,6 @@ mod tests {
         assert!(
             lens.iter().all(|&l| l > 0),
             "round-robin left a shard empty: {lens:?}"
-        );
-    }
-
-    #[test]
-    fn affinity_pins_a_thread_to_one_shard() {
-        let q: ShardedSkipQueue<u64, u64> =
-            ShardedSkipQueue::with_params(4, 2, 0, InsertPolicy::Affinity, false);
-        for i in 0..100 {
-            q.insert(i, i);
-        }
-        let lens = q.shard_lens();
-        assert_eq!(lens.iter().sum::<usize>(), 100);
-        assert_eq!(
-            lens.iter().filter(|&&l| l > 0).count(),
-            1,
-            "affinity routing should keep one thread on one shard: {lens:?}"
         );
     }
 

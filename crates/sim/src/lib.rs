@@ -60,7 +60,6 @@ pub mod proc;
 pub mod rng;
 pub mod sched;
 pub mod stats;
-pub mod trace;
 
 pub use cost::CostModel;
 pub use executor::{Sim, SimReport};
@@ -72,7 +71,6 @@ pub use sched::{
     ClockOrder, FaultSpec, PctPriority, RandomPerturb, SchedPoint, SchedSpec, Scheduler, StallSpec,
 };
 pub use stats::{LatencyRecorder, LatencySummary};
-pub use trace::{TraceBuffer, TraceEvent};
 
 /// A shared-memory address: an index into the simulated word arena.
 ///

@@ -1,44 +1,22 @@
 //! The FunnelList on the simulated machine.
 //!
-//! A sorted linked list whose single lock sits behind a combining funnel
-//! (Shavit & Zemach): processors descend through layers of collision slots,
-//! `SWAP`ing their request pointers in; whoever collides with a waiting
-//! request *captures* it and carries it down; whoever emerges from the
-//! bottom acquires the list lock and executes the whole batch.
+//! A sorted linked list whose single lock sits behind the simulated
+//! combining funnel (the private `funnel` module, shared with
+//! [`crate::funnel_skip`]): whoever emerges from the bottom of the funnel
+//! acquires the list lock and executes the whole batch.
 //!
-//! Protocol state machine per request (same discipline as the native
-//! `funnel` crate — a request is capturable only while its owner spins in a
-//! collision window, so a capturer always observes a stable chain):
-//!
-//! ```text
-//! LOCKED ─owner─▶ ACTIVE ─owner CAS─▶ LOCKED   (retract, descend)
-//!                  ACTIVE ─peer  CAS─▶ CAPTURED ─combiner─▶ DONE
-//! ```
-//!
-//! Request layout: `+0 status, +1 op, +2 key, +3 value, +4 chain,
-//! +5 sibling, +6 resKey, +7 resVal, +8 resOk`. List node: `+0 key,
-//! +1 value, +2 next`. Requests are never recycled during a run (the
-//! simulated arena is virtual), which sidesteps ABA on stale slot pointers.
+//! Request payload: `op, key, value`. List node: `+0 key, +1 value,
+//! +2 next`.
 
 use pqsim::{Addr, LockId, Proc, Sim, Word, NULL};
 
+use crate::funnel::SimFunnel;
 use crate::tap::HistoryTap;
 
-const ST_LOCKED: Word = 0;
-const ST_ACTIVE: Word = 1;
-const ST_CAPTURED: Word = 2;
-const ST_DONE: Word = 3;
-
-const R_STATUS: u32 = 0;
-const R_OP: u32 = 1;
-const R_KEY: u32 = 2;
-const R_VALUE: u32 = 3;
-const R_CHAIN: u32 = 4;
-const R_SIBLING: u32 = 5;
-const R_RES_KEY: u32 = 6;
-const R_RES_VAL: u32 = 7;
-const R_RES_OK: u32 = 8;
-const REQ_WORDS: u32 = 9;
+const P_OP: u32 = 0;
+const P_KEY: u32 = 1;
+const P_VALUE: u32 = 2;
+const PAYLOAD_WORDS: u32 = 3;
 
 const OP_INSERT: Word = 0;
 const OP_DELETE: Word = 1;
@@ -49,14 +27,12 @@ const N_NEXT: u32 = 2;
 const NODE_WORDS: u32 = 3;
 
 /// The simulator-hosted FunnelList priority queue.
+#[derive(Clone)]
 pub struct SimFunnelList {
-    /// Collision layers: (base address, width).
-    layers: Vec<(Addr, u32)>,
+    funnel: SimFunnel,
     /// Head pointer word of the sorted list.
     list_head: Addr,
     list_lock: LockId,
-    /// Collision-window spin length, in backoff rounds.
-    spin_rounds: u32,
     /// Optional history sink; operations are stamped at their boundaries
     /// (`p.now()` on entry and exit). See [`crate::tap`].
     tap: Option<HistoryTap>,
@@ -66,30 +42,18 @@ impl SimFunnelList {
     /// Builds an empty FunnelList (out-of-band). `width` is the first
     /// layer's slot count; each deeper layer is half as wide.
     pub fn create(sim: &Sim, width: u32, depth: u32) -> Self {
-        assert!(width >= 1 && depth >= 1);
+        let funnel = SimFunnel::create(sim, width, depth, PAYLOAD_WORDS);
         let m = sim.machine();
         let mut m = m.borrow_mut();
-        let nproc = m.cfg.nproc.max(1);
-        let layers = (0..depth)
-            .map(|d| {
-                let w = (width >> d).max(1);
-                let base = m.mem.alloc(w, 0);
-                for i in 0..w {
-                    m.mem.set_home(base + i, 1, i % nproc);
-                }
-                (base, w)
-            })
-            .collect();
         let list_head = m.mem.alloc(1, 0);
         let list_lock = {
             let w = m.mem.alloc(1, 0);
             m.locks.create(w)
         };
         Self {
-            layers,
+            funnel,
             list_head,
             list_lock,
-            spin_rounds: 6,
             tap: None,
         }
     }
@@ -122,115 +86,27 @@ impl SimFunnelList {
     }
 
     async fn run_op(&self, p: &Proc, op: Word, key: u64, value: u64) -> Option<(u64, u64)> {
-        // Build the request (private until published: flat init cost).
-        let req = p.alloc(REQ_WORDS);
-        p.with_machine(|m| {
-            m.mem.poke(req + R_STATUS, ST_LOCKED);
-            m.mem.poke(req + R_OP, op);
-            m.mem.poke(req + R_KEY, key);
-            m.mem.poke(req + R_VALUE, value);
-        });
+        let req = self.funnel.request(p, &[op, key, value]);
         p.work(8);
+        let Some(chain) = self.funnel.descend(p, req).await else {
+            return self.funnel.read_result(p, req).await;
+        };
 
-        let mut chain: Addr = NULL;
-        for &(base, width) in &self.layers {
-            // Publish the chain, open the collision window.
-            p.write(req + R_CHAIN, Word::from(chain)).await;
-            p.write(req + R_STATUS, ST_ACTIVE).await;
-            let slot = base + p.gen_range_u64(u64::from(width)) as u32;
-            let prev = p.swap(slot, Word::from(req)).await as Addr;
-
-            // Collision window: spin with growing local backoff. The real
-            // funnel adapts its size to the concurrency level; we get the
-            // same effect cheaply by keeping the window short when the slot
-            // was empty (nobody to collide with).
-            let rounds = if prev.is_null() { 1 } else { self.spin_rounds };
-            let mut backoff = 16u64;
-            for _ in 0..rounds {
-                let st = p.read(req + R_STATUS).await;
-                if st != ST_ACTIVE {
-                    break;
-                }
-                p.work(backoff);
-                backoff = (backoff * 2).min(256);
-            }
-            let old = p.cas(req + R_STATUS, ST_ACTIVE, ST_LOCKED).await;
-            let retracted = old == ST_ACTIVE;
-
-            // Best-effort slot cleanup.
-            p.cas(slot, Word::from(req), Word::from(NULL)).await;
-
-            if !prev.is_null() && prev != req && retracted {
-                let got = p.cas(prev + R_STATUS, ST_ACTIVE, ST_CAPTURED).await;
-                if got == ST_ACTIVE {
-                    p.write(prev + R_SIBLING, Word::from(chain)).await;
-                    chain = prev;
-                }
-            }
-
-            if !retracted {
-                // Captured: wait for the combiner to deliver our result.
-                let mut wait = 64u64;
-                loop {
-                    let st = p.read(req + R_STATUS).await;
-                    if st == ST_DONE {
-                        break;
-                    }
-                    p.work(wait);
-                    wait = (wait * 2).min(4096);
-                }
-                return self.read_result(p, req).await;
-            }
-        }
-
-        // Combiner: gather the batch, lock the list, execute everything.
+        // Combiner: lock the list, gather the batch, execute everything.
         p.acquire(self.list_lock).await;
-        let mut members = vec![req];
-        let mut stack = vec![chain];
-        while let Some(mut c) = stack.pop() {
-            while !c.is_null() {
-                members.push(c);
-                let sub = p.read(c + R_CHAIN).await as Addr;
-                stack.push(sub);
-                c = p.read(c + R_SIBLING).await as Addr;
-            }
-        }
-        for &m in &members {
-            let mop = p.read(m + R_OP).await;
-            if mop == OP_INSERT {
-                let k = p.read(m + R_KEY).await;
-                let v = p.read(m + R_VALUE).await;
+        for m in self.funnel.gather(p, req, chain).await {
+            let r = if p.read(SimFunnel::payload(m, P_OP)).await == OP_INSERT {
+                let k = p.read(SimFunnel::payload(m, P_KEY)).await;
+                let v = p.read(SimFunnel::payload(m, P_VALUE)).await;
                 self.list_insert(p, k, v).await;
-                p.write(m + R_RES_OK, 0).await;
+                None
             } else {
-                match self.list_pop(p).await {
-                    Some((k, v)) => {
-                        p.write(m + R_RES_KEY, k).await;
-                        p.write(m + R_RES_VAL, v).await;
-                        p.write(m + R_RES_OK, 1).await;
-                    }
-                    None => {
-                        p.write(m + R_RES_OK, 2).await;
-                    }
-                }
-            }
-            if m != req {
-                p.write(m + R_STATUS, ST_DONE).await;
-            }
+                self.list_pop(p).await
+            };
+            self.funnel.deliver(p, req, m, r).await;
         }
         p.release(self.list_lock).await;
-        self.read_result(p, req).await
-    }
-
-    async fn read_result(&self, p: &Proc, req: Addr) -> Option<(u64, u64)> {
-        let ok = p.read(req + R_RES_OK).await;
-        if ok == 1 {
-            let k = p.read(req + R_RES_KEY).await;
-            let v = p.read(req + R_RES_VAL).await;
-            Some((k, v))
-        } else {
-            None
-        }
+        self.funnel.read_result(p, req).await
     }
 
     /// Sorted-position insert under the list lock: O(position) reads.
@@ -243,7 +119,7 @@ impl SimFunnelList {
         p.work(4);
         let mut prev_ptr = self.list_head;
         let mut cur = p.read(prev_ptr).await as Addr;
-        while !cur.is_null() {
+        while cur != NULL {
             let k = p.read(cur + N_KEY).await;
             if k >= key {
                 break;
@@ -257,7 +133,7 @@ impl SimFunnelList {
 
     async fn list_pop(&self, p: &Proc) -> Option<(u64, u64)> {
         let first = p.read(self.list_head).await as Addr;
-        if first.is_null() {
+        if first == NULL {
             return None;
         }
         let k = p.read(first + N_KEY).await;
@@ -300,7 +176,7 @@ impl SimFunnelList {
         let mut n = 0;
         let mut prev = 0u64;
         let mut cur = m.mem.peek(self.list_head) as Addr;
-        while !cur.is_null() {
+        while cur != NULL {
             let k = m.mem.peek(cur + N_KEY);
             assert!(k >= prev, "list out of order");
             prev = k;
@@ -308,29 +184,6 @@ impl SimFunnelList {
             cur = m.mem.peek(cur + N_NEXT) as Addr;
         }
         n
-    }
-}
-
-/// `Addr` null check helper.
-trait IsNull {
-    fn is_null(&self) -> bool;
-}
-
-impl IsNull for Addr {
-    fn is_null(&self) -> bool {
-        *self == NULL
-    }
-}
-
-impl Clone for SimFunnelList {
-    fn clone(&self) -> Self {
-        Self {
-            layers: self.layers.clone(),
-            list_head: self.list_head,
-            list_lock: self.list_lock,
-            spin_rounds: self.spin_rounds,
-            tap: self.tap.clone(),
-        }
     }
 }
 

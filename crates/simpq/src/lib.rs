@@ -17,7 +17,8 @@
 //! * [`heap::SimHuntHeap`] — the Hunt et al. heap: size lock, per-node
 //!   locks and tags, bit-reversed bottom-up insertions, top-down deletions.
 //! * [`funnellist::SimFunnelList`] — the sorted linked list with a
-//!   combining-funnel front end.
+//!   combining-funnel front end; [`funnel_skip::FunnelSkipQueue`] drives
+//!   the same simulated funnel.
 //! * [`workload::run_workload`] — the benchmark of §5: each processor
 //!   alternates `work_cycles` of local work with a random queue operation;
 //!   reports mean insert / delete-min latency in cycles.
@@ -40,6 +41,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod funnel;
 pub mod funnel_skip;
 pub mod funnellist;
 pub mod heap;

@@ -654,12 +654,6 @@ impl Platform for SimOp<'_> {
         self.p.write(next_addr(node, lvl), Word::from(to)).await;
     }
 
-    async fn store_next_init(&self, node: Addr, lvl: usize, to: Addr) {
-        // The simulated machine has no ordering distinction to relax: a
-        // pre-publication store costs the same charged WRITE.
-        self.p.write(next_addr(node, lvl), Word::from(to)).await;
-    }
-
     async fn key_lt(&self, node: Addr, skey: u64) -> bool {
         self.p.read(node + KEY).await < skey
     }

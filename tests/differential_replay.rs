@@ -105,7 +105,7 @@ fn run_native(
     heights: Vec<usize>,
 ) -> (Vec<Option<(u64, u64)>>, Vec<TraceEvent>) {
     let sink = Arc::new(Mutex::new(Vec::new()));
-    let mut q = SkipQueue::<u64, u64>::with_params(12, 0.5, strict, 4)
+    let mut q = SkipQueue::<u64, u64>::with_params(12, strict, 4)
         .with_height_script(heights)
         .with_trace(Arc::clone(&sink), |k| *k);
     if let Some(t) = batch {

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use shardq::{InsertPolicy, ShardedSkipQueue};
+use shardq::ShardedSkipQueue;
 use skipqueue::SkipQueue;
 
 #[test]
@@ -144,15 +144,10 @@ fn batched_retirement_under_shard_churn_leaks_nothing() {
     for round in 0..4u64 {
         {
             // Small unlink batch so retirement batches trigger constantly;
-            // elimination on so hand-offs bypass shards entirely (those
-            // payloads must drop through the consumer, not a collector).
-            let q: Arc<ShardedSkipQueue<u64, Tracked>> = Arc::new(ShardedSkipQueue::with_params(
-                4,
-                2,
-                4,
-                InsertPolicy::RoundRobin,
-                true,
-            ));
+            // elimination hand-offs bypass shards entirely (those payloads
+            // must drop through the consumer, not a collector).
+            let q: Arc<ShardedSkipQueue<u64, Tracked>> =
+                Arc::new(ShardedSkipQueue::with_params(4, 2, 4));
             std::thread::scope(|s| {
                 for t in 0..6u64 {
                     let q = Arc::clone(&q);
@@ -203,7 +198,7 @@ fn many_queues_per_thread_do_not_interfere() {
 fn slot_table_exhaustion_is_loud() {
     // 1-thread queue used from 2 threads must panic with a clear message,
     // not corrupt memory.
-    let q: Arc<SkipQueue<u64, u64>> = Arc::new(SkipQueue::with_params(8, 0.5, true, 1));
+    let q: Arc<SkipQueue<u64, u64>> = Arc::new(SkipQueue::with_params(8, true, 1));
     q.insert(1, 1);
     let q2 = Arc::clone(&q);
     let result = std::thread::spawn(move || {
