@@ -2,13 +2,22 @@
 //!
 //! Mirrors the paper's node layout (Figure 1): a key, a value, a `deleted`
 //! flag, a `timeStamp`, a whole-node lock, and per-level `{lock, next}`
-//! pairs. Writes to `levels[i].next` only ever happen while holding
-//! `levels[i].lock` of the owning node; reads are lock-free. All `unsafe`
+//! pairs. Writes to `levels()[i].next` only ever happen while holding
+//! `levels()[i].lock` of the owning node; reads are lock-free. All `unsafe`
 //! in the crate funnels through the small helpers here and in
 //! [`crate::queue`].
+//!
+//! A node is one heap block: a `#[repr(C)]` header followed inline by its
+//! tower of `height` [`Level`]s. The header ends with the key, so a search
+//! hop that compares the key and then loads `levels()[lvl].next` stays
+//! inside one block, usually within one or two adjacent cache lines.
+//! [`Node::alloc`] and [`Node::dealloc`] compute the block's `Layout` from
+//! the height stored in the header.
 
+use std::alloc::{handle_alloc_error, Layout};
 use std::cell::UnsafeCell;
-use std::mem::ManuallyDrop;
+use std::mem::{offset_of, size_of, ManuallyDrop};
+use std::ptr::addr_of_mut;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 use parking_lot::lock_api::RawMutex as RawMutexApi;
@@ -86,12 +95,15 @@ pub(crate) struct Level<K, V> {
     pub next: AtomicPtr<Node<K, V>>,
 }
 
-/// A SkipQueue node. Allocated with [`Node::alloc`], freed with
-/// [`Node::dealloc`] (via the quiescence collector).
+/// A SkipQueue node header; its tower follows it inline in the same
+/// allocation. Allocated with [`Node::alloc`], freed with [`Node::dealloc`]
+/// (via the quiescence collector). Never constructed or moved by value.
+#[repr(C)]
 pub(crate) struct Node<K, V> {
-    pub key: IKey<K>,
     /// Present until the winning deleter extracts it.
     pub value: UnsafeCell<Option<V>>,
+    /// `TimestampClock::MAX_TIME` until the insert completes.
+    pub timestamp: AtomicU64,
     /// Set (never cleared) by the deleter that moved the priority out of
     /// `key`; tells `dealloc` not to drop it again.
     pub key_taken: AtomicBool,
@@ -103,36 +115,63 @@ pub(crate) struct Node<K, V> {
     /// nodes claimed after collection. Only the cleaner reads or writes it
     /// while the node is linked.
     pub in_unlink_batch: AtomicBool,
-    /// `TimestampClock::MAX_TIME` until the insert completes.
-    pub timestamp: AtomicU64,
     /// Serializes whole-node phases: held for the full linking of an insert
     /// and for the full unlinking of a delete.
     pub node_lock: RawMutex,
-    pub levels: Box<[Level<K, V>]>,
+    /// Number of `Level`s in the inline tower; fixed at allocation.
+    height: u32,
+    /// Last in the header, directly before the tower it is read with.
+    pub key: IKey<K>,
+    /// Start of the inline tower: `height` levels live from here to the end
+    /// of the allocation. Reach them through [`Node::levels`].
+    levels: [Level<K, V>; 0],
 }
 
 impl<K, V> Node<K, V> {
+    /// The layout of a node with a `height`-level tower: the header up to
+    /// `levels`, then the levels, padded to the node's alignment so the
+    /// block always covers a whole `Node`.
+    fn layout(height: usize) -> Layout {
+        let size = offset_of!(Self, levels) + height * size_of::<Level<K, V>>();
+        Layout::from_size_align(size, std::mem::align_of::<Self>())
+            .expect("node layout overflows isize")
+            .pad_to_align()
+    }
+
     /// Heap-allocates a node of the given height, fully unlinked, unmarked,
-    /// with `timeStamp = MAX_TIME`.
+    /// with `timeStamp = MAX_TIME`. Header and tower share one allocation.
     pub fn alloc(key: IKey<K>, value: Option<V>, height: usize) -> *mut Self {
         assert!((1..=MAX_HEIGHT).contains(&height));
-        let levels = (0..height)
-            .map(|_| Level {
-                lock: RawMutex::INIT,
-                next: AtomicPtr::new(std::ptr::null_mut()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Box::into_raw(Box::new(Node {
-            key,
-            value: UnsafeCell::new(value),
-            key_taken: AtomicBool::new(false),
-            deleted: AtomicBool::new(false),
-            in_unlink_batch: AtomicBool::new(false),
-            timestamp: AtomicU64::new(u64::MAX),
-            node_lock: RawMutex::INIT,
-            levels,
-        }))
+        let layout = Self::layout(height);
+        // SAFETY: the layout is non-zero-sized (it holds at least one level).
+        let ptr = unsafe { std::alloc::alloc(layout) }.cast::<Self>();
+        if ptr.is_null() {
+            handle_alloc_error(layout);
+        }
+        // SAFETY: `ptr` is a fresh block of `layout`, which is aligned for
+        // `Self`, at least `size_of::<Self>()` long, and has room for
+        // `height` levels starting at the `levels` offset.
+        unsafe {
+            ptr.write(Node {
+                value: UnsafeCell::new(value),
+                timestamp: AtomicU64::new(u64::MAX),
+                key_taken: AtomicBool::new(false),
+                deleted: AtomicBool::new(false),
+                in_unlink_batch: AtomicBool::new(false),
+                node_lock: RawMutex::INIT,
+                height: height as u32,
+                key,
+                levels: [],
+            });
+            let tower = addr_of_mut!((*ptr).levels).cast::<Level<K, V>>();
+            for lvl in 0..height {
+                tower.add(lvl).write(Level {
+                    lock: RawMutex::INIT,
+                    next: AtomicPtr::new(std::ptr::null_mut()),
+                });
+            }
+        }
+        ptr
     }
 
     /// Frees a node, dropping any value still present and the priority if it
@@ -144,31 +183,47 @@ impl<K, V> Node<K, V> {
     /// and no other thread may access it concurrently or afterwards (the
     /// collector's quiescence rule establishes this).
     pub unsafe fn dealloc(ptr: *mut Self) {
-        // SAFETY: per contract, exclusive ownership.
-        let mut node = unsafe { Box::from_raw(ptr) };
-        if !node.key_taken.load(Ordering::Relaxed) {
-            if let IKey::Val(k, _) = &mut node.key {
-                // SAFETY: the key was never moved out (flag unset) and we
-                // hold the only reference; prevent a leak of K.
-                unsafe { ManuallyDrop::drop(k) };
+        // SAFETY: per contract, `ptr` is a live block from `alloc` that we
+        // own exclusively, so reading its height rebuilds the exact layout
+        // it was allocated with. An untaken key was never moved out, so
+        // this is its only drop. `drop_in_place` then drops the header's
+        // fields: the value is the only one with drop glue (the key is
+        // `ManuallyDrop`, and locks and atomics have none), and the tower
+        // holds only locks and atomic pointers, so it needs no drop. After
+        // that nothing reads the block and it is freed with its layout.
+        unsafe {
+            let layout = Self::layout((*ptr).height());
+            if !(*ptr).key_taken.load(Ordering::Relaxed) {
+                if let IKey::Val(k, _) = &mut (*ptr).key {
+                    ManuallyDrop::drop(k);
+                }
             }
-        } else if let IKey::Val(k, _) = &mut node.key {
-            // The priority was moved out; forget the shell so Box drop does
-            // not double-drop it. ManuallyDrop already guarantees this —
-            // nothing to do, the branch documents the invariant.
-            let _ = k;
+            std::ptr::drop_in_place(ptr);
+            std::alloc::dealloc(ptr.cast(), layout);
         }
-        // `value` and the rest drop normally with the Box.
     }
 
     /// Tower height (number of linked levels).
     pub fn height(&self) -> usize {
-        self.levels.len()
+        self.height as usize
+    }
+
+    /// The inline tower, bottom level first.
+    pub fn levels(&self) -> &[Level<K, V>] {
+        // SAFETY: `alloc` wrote `height` initialized levels starting at the
+        // `levels` offset of this same allocation, and they live as long as
+        // the header does.
+        unsafe {
+            std::slice::from_raw_parts(
+                std::ptr::addr_of!(self.levels).cast::<Level<K, V>>(),
+                self.height(),
+            )
+        }
     }
 
     /// Lock-free read of the level-`lvl` forward pointer.
     pub fn next(&self, lvl: usize) -> *mut Self {
-        self.levels[lvl].next.load(Ordering::Acquire)
+        self.levels()[lvl].next.load(Ordering::Acquire)
     }
 
     /// Moves the priority out of the node. Caller must be the unique winner
@@ -222,61 +277,126 @@ mod tests {
         }
     }
 
-    #[test]
-    fn take_key_prevents_double_drop() {
-        use std::sync::atomic::AtomicUsize;
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        /// Drops of the tracked types below, per test thread.
+        static DROPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
-        #[derive(PartialEq, Eq, PartialOrd, Ord)]
-        struct Tracked(u64);
-        impl Drop for Tracked {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
+    fn drops() -> usize {
+        DROPS.with(|d| d.get())
+    }
+
+    fn count_drop() {
+        DROPS.with(|d| d.set(d.get() + 1));
+    }
+
+    struct Tracked(#[allow(dead_code)] u64);
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            count_drop();
+        }
+    }
+
+    /// Zero-sized, so the node's value is a one-byte `Option`.
+    struct TrackedZst;
+    impl Drop for TrackedZst {
+        fn drop(&mut self) {
+            count_drop();
+        }
+    }
+
+    /// Aligned past the tower's levels, so the header's padding and the
+    /// node's alignment both come from the key.
+    #[repr(align(64))]
+    struct OverAligned(#[allow(dead_code)] u64);
+    impl Drop for OverAligned {
+        fn drop(&mut self) {
+            count_drop();
+        }
+    }
+
+    /// For every height: allocates a node, checks that its tower is inline,
+    /// aligned, initialized and inside the allocation, optionally moves the
+    /// key out as a winning deleter would, frees the node, and checks that
+    /// key and value were each dropped exactly once.
+    fn roundtrip_every_height<K, V>(key: impl Fn() -> K, value: impl Fn() -> V, take: bool) {
+        for height in 1..=MAX_HEIGHT {
+            let before = drops();
+            let n = Node::alloc(
+                IKey::Val(ManuallyDrop::new(key()), 0),
+                Some(value()),
+                height,
+            );
+            let base = n as usize;
+            let end = base + Node::<K, V>::layout(height).size();
+            assert_eq!(base % std::mem::align_of::<Node<K, V>>(), 0);
+            assert!(end - base >= size_of::<Node<K, V>>());
+            unsafe {
+                assert_eq!((*n).height(), height);
+                let levels = (*n).levels();
+                assert_eq!(levels.len(), height);
+                for (i, level) in levels.iter().enumerate() {
+                    let at = level as *const Level<K, V> as usize;
+                    assert_eq!(at % std::mem::align_of::<Level<K, V>>(), 0, "level {i}");
+                    assert_eq!(
+                        at,
+                        base + offset_of!(Node<K, V>, levels) + i * size_of::<Level<K, V>>()
+                    );
+                    assert!(
+                        at + size_of::<Level<K, V>>() <= end,
+                        "level {i} past the block"
+                    );
+                    assert!(level.next.load(Ordering::Relaxed).is_null());
+                    assert!(level.lock.try_lock(), "level {i} starts unlocked");
+                    level.lock.unlock();
+                }
+                if take {
+                    (*n).deleted.store(true, Ordering::Relaxed);
+                    drop((*n).take_key());
+                    assert_eq!(drops() - before, 1, "take_key hands the key out");
+                }
+                Node::dealloc(n);
             }
+            assert_eq!(
+                drops() - before,
+                2,
+                "height {height}, key taken: {take}: key and value each dropped once"
+            );
         }
-
-        let n = Node::alloc(IKey::Val(ManuallyDrop::new(Tracked(9)), 0), Some(()), 1);
-        unsafe {
-            (*n).deleted.store(true, Ordering::Relaxed);
-            let k = (*n).take_key();
-            assert_eq!(k.0, 9);
-            drop(k);
-            assert_eq!(DROPS.load(Ordering::SeqCst), 1);
-            Node::dealloc(n);
-        }
-        assert_eq!(DROPS.load(Ordering::SeqCst), 1, "dealloc must not re-drop");
     }
 
     #[test]
-    fn dealloc_drops_untaken_key_and_value() {
-        use std::sync::atomic::AtomicUsize;
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-
-        #[derive(PartialEq, Eq, PartialOrd, Ord)]
-        struct Tracked;
-        impl Drop for Tracked {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
+    fn every_height_roundtrips_with_key_kept_or_taken() {
+        for take in [false, true] {
+            roundtrip_every_height(|| Tracked(1), || Tracked(2), take);
         }
+    }
 
-        let n = Node::alloc(IKey::Val(ManuallyDrop::new(Tracked), 0), Some(Tracked), 2);
-        unsafe { Node::dealloc(n) };
-        assert_eq!(
-            DROPS.load(Ordering::SeqCst),
-            2,
-            "key and value both dropped"
-        );
+    #[test]
+    fn zero_sized_value_roundtrips() {
+        for take in [false, true] {
+            roundtrip_every_height(|| Tracked(1), || TrackedZst, take);
+        }
+    }
+
+    #[test]
+    fn over_aligned_key_roundtrips() {
+        assert_eq!(std::mem::align_of::<Node<OverAligned, Tracked>>(), 64);
+        for take in [false, true] {
+            roundtrip_every_height(|| OverAligned(1), || Tracked(2), take);
+        }
     }
 
     #[test]
     fn level_locks_are_independent() {
         let n = Node::alloc(val(1, 1), Some(()), 3);
         unsafe {
-            (*n).levels[0].lock.lock();
-            assert!((*n).levels[1].lock.try_lock());
-            (*n).levels[1].lock.unlock();
-            (*n).levels[0].lock.unlock();
+            let levels = (*n).levels();
+            levels[0].lock.lock();
+            assert!(levels[1].lock.try_lock());
+            assert!(!levels[0].lock.try_lock());
+            levels[1].lock.unlock();
+            levels[0].lock.unlock();
             Node::dealloc(n);
         }
     }

@@ -5,7 +5,8 @@
 //! written once as `async` control flow over [`pqalgo::Platform`] hooks.
 //! This module supplies the **native platform**: nodes are raw pointers,
 //! `load_next`/`store_next` are `Acquire`/`Release` atomics, the level and
-//! node locks are `parking_lot::RawMutex`, and GC registration is the
+//! node locks are the offline `parking_lot` shim's spin-then-yield
+//! test-and-set `RawMutex` (`shims/parking_lot`), and GC registration is the
 //! quiescence collector ([`crate::gc`]). Every hook returns an
 //! immediately-ready future, so one poll drives a whole operation and the
 //! async plumbing compiles down to the same straight-line code the
@@ -52,8 +53,8 @@
 //! `Vec<u8>`, …). The batched constructors carry a `K: Copy` bound so the
 //! type system enforces this; heap-owning keys get the eager default.
 //!
-//! Locking invariant: a node's `levels[i].next` is only written while
-//! holding that node's `levels[i].lock`; reads are lock-free (`Acquire`).
+//! Locking invariant: a node's `levels()[i].next` is only written while
+//! holding that node's `levels()[i].lock`; reads are lock-free (`Acquire`).
 //! Because a deleter holds the predecessor's level lock while unlinking,
 //! holding a node's level lock also pins the node into the list at that
 //! level — which is what makes `getLock`'s validation sound.
@@ -371,7 +372,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         // SAFETY: platform contract; the algorithm holds `node`'s level
         // lock here, or `node` is this insert's own unpublished node
         // (locking invariant in the module docs).
-        unsafe { (*node).levels[lvl].next.store(to, Ordering::Release) }
+        unsafe { (*node).levels()[lvl].next.store(to, Ordering::Release) }
     }
 
     async fn key_lt(&self, node: Self::Node, skey: Self::SearchKey) -> bool {
@@ -386,13 +387,13 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
 
     async fn lock_level(&self, node: Self::Node, lvl: usize) {
         // SAFETY: platform contract.
-        unsafe { (*node).levels[lvl].lock.lock() }
+        unsafe { (*node).levels()[lvl].lock.lock() }
     }
 
     async fn unlock_level(&self, node: Self::Node, lvl: usize) {
         // SAFETY: platform contract; the algorithm pairs every unlock with
         // its own earlier lock.
-        unsafe { (*node).levels[lvl].lock.unlock() }
+        unsafe { (*node).levels()[lvl].lock.unlock() }
     }
 
     async fn lock_node(&self, node: Self::Node) {
@@ -583,7 +584,7 @@ impl<K: Ord, V> SkipQueue<K, V> {
         // SAFETY: freshly allocated, exclusively owned here.
         unsafe {
             for lvl in 0..max_height {
-                (*head).levels[lvl].next.store(tail, Ordering::Relaxed);
+                (*head).levels()[lvl].next.store(tail, Ordering::Relaxed);
             }
         }
         Self {

@@ -4,7 +4,7 @@
 //! priority-queue use: entries ordered by `(key, insertion sequence)`,
 //! minimum at the front of the bottom level. It serves three roles in the
 //! workspace: a reference model for the concurrent queue's tests, the
-//! single-threaded performance baseline in the Criterion benches, and —
+//! single-threaded floor of perfbench's layer ladder (`ladder.seq_ns`), and —
 //! wrapped in a mutex via [`crate::pq`] adapters — the "one big lock"
 //! strawman the paper dismisses.
 //!

@@ -1,5 +1,6 @@
 //! A `std::collections::BinaryHeap` under one mutex — the trivial
-//! coarse-grained heap baseline for the Criterion benches.
+//! coarse-grained heap baseline, timed as perfbench's layer-ladder rung
+//! `ladder.locked_heap_ns`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -7,7 +7,9 @@
 //!
 //! * The **native** platform (`crates/core`) maps nodes to raw pointers,
 //!   `load_next`/`store_next` to `Acquire`/`Release` atomics, the level and
-//!   node locks to `parking_lot::RawMutex`, `delete_read_clock` to the global
+//!   node locks to the offline `parking_lot` shim's spin-then-yield
+//!   test-and-set `RawMutex` (`shims/parking_lot`), `delete_read_clock` to
+//!   the global
 //!   `fetch_add` timestamp clock, and the GC hooks to quiescence-collector
 //!   slot registration. Every hook returns an immediately-ready future, so a
 //!   poll-once executor drives a whole operation synchronously.
