@@ -10,14 +10,48 @@
 //!
 //! The paper dedicates one processor to collection; here every thread
 //! collects its own garbage list when it grows past a threshold (the paper
-//! itself notes the task "can be split/shared among processors"), and also
-//! opportunistically sweeps lists left behind by exited threads.
+//! itself notes the task "can be split/shared among processors").
+//!
+//! ## Node recycling
+//!
+//! The paper's collector hands reclaimed nodes back to a per-processor
+//! pool, and so does this one (the simulator's free-list allocator in
+//! `pqsim` does the same). When the threshold path reclaims a node, its
+//! payload is dropped but its block goes to the collecting thread's pool,
+//! one free list per tower height, and that thread's next insert of the
+//! same height reuses it instead of calling the allocator:
+//!
+//! * **Own slot only.** The threshold path reclaims only the calling
+//!   thread's own garbage list and refills only its own pool, so in a hold
+//!   loop each thread's supply of blocks matches its demand. (Sweeping
+//!   every slot into the collector's pool unbalances the pools.) Garbage a
+//!   thread leaves behind when it exits waits for an explicit
+//!   [`Collector::collect`] or the collector's drop, which sweep every slot
+//!   and also return every pooled block to the allocator.
+//! * **Bounded.** A pool holds at most `POOL_CAP` blocks, 64 collections'
+//!   worth; overflow goes to the allocator.
+//! * **Lazy.** A slot's pool is allocated by its first recycle, so idle
+//!   slots cost nothing to build or tear down.
+//! * **Poisoned in debug builds.** A pooled block is never freed, so
+//!   AddressSanitizer cannot see a stale read of one; debug builds overwrite
+//!   it (all but the free-list link) with a poison pattern instead (see
+//!   `Node::into_pooled`).
+//!
+//! Recycling changes where memory goes, not when: a block is reused only
+//! after the same quiescence test that would free it. Without recycling,
+//! a producer thread's nodes freed by consumer threads land in the
+//! producer's malloc arena, which the consumers never allocate from, so
+//! a hold loop on a prefilled queue ends up holding two copies of the list.
 //!
 //! This is a QSBR-style scheme. Entry announcements and deletion stamps come
 //! from one global atomic counter, so they are totally ordered; the pin path
 //! uses a `SeqCst` fence (as in crossbeam-epoch) so a thread's announcement
 //! is visible to any collector that could otherwise free a node the thread
 //! may still reach.
+//!
+//! `Collector::wait_for_readers` turns the same announcements into a grace
+//! period: the eager `delete_min` uses it to hold back a popped key with drop
+//! glue until no search can still compare it.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -27,13 +61,20 @@ use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::clock::TimestampClock;
-use crate::node::Node;
+use crate::node::{IKey, Node, MAX_HEIGHT};
 
 /// "Thread is outside the structure."
 const OUTSIDE: u64 = u64::MAX;
 
 /// Collect the slot's own garbage once it holds this many retired nodes.
 const COLLECT_THRESHOLD: usize = 64;
+
+/// Most node blocks one slot's pool keeps for reuse, across all heights.
+/// A peer descheduled while pinned holds back reclamation; the garbage it
+/// held back comes back as one large batch once it exits, and the pool
+/// keeps enough of it to cover the inserts the owner makes during the next
+/// such stall instead of passing it to the allocator.
+const POOL_CAP: usize = 64 * COLLECT_THRESHOLD;
 
 struct Retired<K, V> {
     ptr: *mut Node<K, V>,
@@ -45,8 +86,73 @@ struct Slot<K, V> {
     owner: AtomicUsize,
     /// Entry timestamp, or [`OUTSIDE`].
     entry: AtomicU64,
-    /// Nodes retired by the owning thread, awaiting quiescence.
+    /// Nodes retired by the owning thread, awaiting quiescence, in stamp
+    /// order (only the owner appends, and its stamps only grow).
     garbage: Mutex<Vec<Retired<K, V>>>,
+    /// Reclaimed blocks awaiting reuse by the owning thread's inserts;
+    /// `None` until the slot first recycles. Never locked while user `Drop`
+    /// code runs on a key or value.
+    pool: Mutex<Option<Box<Pool<K, V>>>>,
+}
+
+/// Emptied node blocks, one intrusive free list per tower height.
+struct Pool<K, V> {
+    /// Top of the free list of `height`-level blocks, at `height - 1`.
+    heads: [*mut Node<K, V>; MAX_HEIGHT],
+    /// Blocks across all lists; at most [`POOL_CAP`].
+    len: usize,
+}
+
+impl<K, V> Pool<K, V> {
+    fn new() -> Box<Self> {
+        Box::new(Pool {
+            heads: [std::ptr::null_mut(); MAX_HEIGHT],
+            len: 0,
+        })
+    }
+
+    fn pop(&mut self, height: usize) -> Option<*mut Node<K, V>> {
+        let head = &mut self.heads[height - 1];
+        if head.is_null() {
+            return None;
+        }
+        let block = *head;
+        // SAFETY: a block on this pool's list, owned by the pool.
+        *head = unsafe { Node::pooled_next(block) };
+        self.len -= 1;
+        Some(block)
+    }
+
+    /// Pools an emptied `height`-level block, or returns it to the
+    /// allocator when the pool is full.
+    ///
+    /// # Safety
+    ///
+    /// `block` must be an exclusively owned `height`-level block holding no
+    /// live node, never accessed by anyone else again.
+    unsafe fn push(&mut self, block: *mut Node<K, V>, height: usize) {
+        // SAFETY: forwarded contract.
+        unsafe {
+            if self.len == POOL_CAP {
+                Node::free_block(block, height);
+                return;
+            }
+            let head = &mut self.heads[height - 1];
+            Node::into_pooled(block, height, *head);
+            *head = block;
+        }
+        self.len += 1;
+    }
+
+    /// Returns every pooled block to the allocator.
+    fn free_all(mut self: Box<Self>) {
+        for height in 1..=MAX_HEIGHT {
+            while let Some(block) = self.pop(height) {
+                // SAFETY: popped from the pool, which owned it alone.
+                unsafe { Node::free_block(block, height) };
+            }
+        }
+    }
 }
 
 /// The per-queue collector: one announcement slot per thread, plus the
@@ -58,8 +164,10 @@ pub struct Collector<K, V> {
 }
 
 // SAFETY: the raw node pointers in garbage lists are exclusively owned
-// retired nodes; they are only dereferenced when freed under the quiescence
-// rule, and the key/value they carry are sent between threads.
+// retired nodes; they are only dereferenced when reclaimed under the
+// quiescence rule, and the key/value they carry are sent between threads.
+// Pooled blocks hold no key or value and are reached only under their
+// slot's pool lock.
 unsafe impl<K: Send, V: Send> Send for Collector<K, V> {}
 unsafe impl<K: Send, V: Send> Sync for Collector<K, V> {}
 
@@ -119,6 +227,7 @@ impl<K, V> Collector<K, V> {
                     owner: AtomicUsize::new(0),
                     entry: AtomicU64::new(OUTSIDE),
                     garbage: Mutex::new(Vec::new()),
+                    pool: Mutex::new(None),
                 })
             })
             .collect::<Vec<_>>()
@@ -210,8 +319,9 @@ impl<K, V> Collector<K, V> {
         }
     }
 
-    /// Retires an unlinked node: it will be freed once every thread that was
-    /// inside the structure at this moment has exited.
+    /// Retires an unlinked node: it will be reclaimed once every thread
+    /// that was inside the structure at this moment has exited. Returns the
+    /// deletion stamp (see [`Collector::wait_for_readers`]).
     ///
     /// # Safety
     ///
@@ -220,7 +330,7 @@ impl<K, V> Collector<K, V> {
     /// (traversals holding older references are exactly what the quiescence
     /// rule waits out). The calling thread must currently be entered with
     /// `g`.
-    pub(crate) unsafe fn retire(&self, g: RawGuard, ptr: *mut Node<K, V>) {
+    pub(crate) unsafe fn retire(&self, g: RawGuard, ptr: *mut Node<K, V>) -> u64 {
         // SAFETY: forwarded contract.
         unsafe { self.retire_batch(g, std::iter::once(ptr)) }
     }
@@ -230,25 +340,51 @@ impl<K, V> Collector<K, V> {
     /// once, so a batched physical delete amortizes the retirement
     /// bookkeeping the same way it amortizes the unlinking itself. The
     /// group becomes reclaimable atomically — once every thread that was
-    /// inside the structure at this moment has exited.
+    /// inside the structure at this moment has exited. Returns the stamp.
     ///
     /// # Safety
     ///
     /// Every pointer must satisfy the [`Collector::retire`] contract.
-    pub(crate) unsafe fn retire_batch<I>(&self, g: RawGuard, ptrs: I)
+    pub(crate) unsafe fn retire_batch<I>(&self, g: RawGuard, ptrs: I) -> u64
     where
         I: IntoIterator<Item = *mut Node<K, V>>,
     {
         let ts = self.clock.tick();
         let slot = &self.slots[g.slot];
-        let run_collect = {
-            let mut g = slot.garbage.lock();
-            g.extend(ptrs.into_iter().map(|ptr| Retired { ptr, ts }));
-            g.len() >= COLLECT_THRESHOLD
-        };
-        if run_collect {
-            self.collect();
+        let mut garbage = slot.garbage.lock();
+        garbage.extend(ptrs.into_iter().map(|ptr| Retired { ptr, ts }));
+        if garbage.len() >= COLLECT_THRESHOLD {
+            self.recycle(slot, &mut garbage);
         }
+        ts
+    }
+
+    /// The threshold path: moves the reclaimable prefix of the calling
+    /// thread's own garbage list into its own pool.
+    fn recycle(&self, slot: &Slot<K, V>, garbage: &mut Vec<Retired<K, V>>) {
+        let horizon = self.min_entry();
+        let n = garbage.partition_point(|r| r.ts < horizon);
+        if n == 0 {
+            return;
+        }
+        // User `Drop` code runs in the first pass of each chunk, with the
+        // pool unlocked; the second pass pools the emptied blocks.
+        for chunk in garbage[..n].chunks(COLLECT_THRESHOLD) {
+            let mut heights = [0; COLLECT_THRESHOLD];
+            for (r, height) in chunk.iter().zip(&mut heights) {
+                // SAFETY: r.ts < every current entry announcement, so every
+                // thread inside entered after the unlink; per the retire
+                // contract nobody can still reach the node.
+                *height = unsafe { Node::drop_payload(r.ptr) };
+            }
+            let mut pool = slot.pool.lock();
+            let pool = pool.get_or_insert_with(Pool::new);
+            for (r, &height) in chunk.iter().zip(&heights) {
+                // SAFETY: emptied above and unreachable by anyone else.
+                unsafe { pool.push(r.ptr, height) };
+            }
+        }
+        garbage.drain(..n);
     }
 
     /// The oldest entry announcement across all claimed slots.
@@ -262,28 +398,72 @@ impl<K, V> Collector<K, V> {
             .unwrap_or(OUTSIDE)
     }
 
+    /// Waits until every thread that was inside the structure when the
+    /// deletion `stamp` was taken has exited: a grace period, after which
+    /// no thread can still reach what was retired at `stamp`. A nested
+    /// token returns at once, since the outer pin on this thread predates
+    /// the stamp and cannot be waited out from inside.
+    pub(crate) fn wait_for_readers(&self, g: RawGuard, stamp: u64) {
+        if g.nested {
+            return;
+        }
+        let mut spins = 0u32;
+        while self.min_entry() < stamp {
+            spins += 1;
+            if spins < 64 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Heap-allocates a node for an insert by the thread entered with `g`,
+    /// reusing a block of the same height from the thread's own pool when
+    /// one is there.
+    pub(crate) fn alloc(
+        &self,
+        g: RawGuard,
+        key: IKey<K>,
+        value: Option<V>,
+        height: usize,
+    ) -> *mut Node<K, V> {
+        let pooled = self.slots[g.slot]
+            .pool
+            .lock()
+            .as_mut()
+            .and_then(|pool| pool.pop(height));
+        match pooled {
+            Some(block) => {
+                // SAFETY: a pooled block of this height, now ours alone.
+                unsafe { Node::init(block, key, value, height) };
+                block
+            }
+            None => Node::alloc(key, value, height),
+        }
+    }
+
     /// Frees every retired node older than the oldest announcement, across
-    /// all slots (so garbage from exited threads is swept too).
+    /// all slots (so garbage from exited threads is freed too), and returns
+    /// every pooled block to the allocator. Returns the number of retired
+    /// nodes freed.
     pub fn collect(&self) -> usize {
         let horizon = self.min_entry();
         let mut freed = 0;
         for s in self.slots.iter() {
             // Skip slots another thread is concurrently collecting.
-            let Some(mut g) = s.garbage.try_lock() else {
-                continue;
-            };
-            g.retain(|r| {
-                if r.ts < horizon {
-                    // SAFETY: r.ts < every current entry announcement, so
-                    // every thread inside entered after the unlink; per the
-                    // retire contract nobody can still reach the node.
+            if let Some(mut g) = s.garbage.try_lock() {
+                let n = g.partition_point(|r| r.ts < horizon);
+                for r in g.drain(..n) {
+                    // SAFETY: as in `recycle`.
                     unsafe { Node::dealloc(r.ptr) };
-                    freed += 1;
-                    false
-                } else {
-                    true
                 }
-            });
+                freed += n;
+            }
+            let pool = s.pool.try_lock().and_then(|mut p| p.take());
+            if let Some(pool) = pool {
+                pool.free_all();
+            }
         }
         freed
     }
@@ -293,15 +473,18 @@ impl<K, V> Collector<K, V> {
         self.slots.iter().map(|s| s.garbage.lock().len()).sum()
     }
 
-    /// Frees all remaining garbage unconditionally. Requires `&mut self`:
-    /// exclusive access proves no thread is inside the structure.
+    /// Frees all remaining garbage and pooled blocks unconditionally.
+    /// Requires `&mut self`: exclusive access proves no thread is inside
+    /// the structure.
     pub fn flush_all(&mut self) {
-        for s in self.slots.iter() {
-            let mut g = s.garbage.lock();
-            for r in g.drain(..) {
+        for s in self.slots.iter_mut() {
+            for r in s.garbage.get_mut().drain(..) {
                 // SAFETY: exclusive access to the collector (and therefore
                 // to the queue that owns it) means no concurrent readers.
                 unsafe { Node::dealloc(r.ptr) };
+            }
+            if let Some(pool) = s.pool.get_mut().take() {
+                pool.free_all();
             }
         }
     }
@@ -406,10 +589,41 @@ mod tests {
             unsafe { c.retire(g.raw, mknode(i)) };
             drop(g);
         }
-        // The automatic collection inside retire must have freed most
+        // The automatic collection inside retire must have reclaimed most
         // earlier garbage (everything retired before the current pin).
         assert!(c.pending() < COLLECT_THRESHOLD, "pending={}", c.pending());
         assert!(c.collect() > 0 || c.pending() == 0);
+    }
+
+    #[test]
+    fn threshold_recycles_into_own_pool_and_inserts_reuse_it() {
+        let c: Collector<u64, u64> = Collector::new(2);
+        let mut retired = Vec::new();
+        for i in 0..COLLECT_THRESHOLD as u64 {
+            assert!(
+                c.slots.iter().all(|s| s.pool.lock().is_none()),
+                "pools are created by the first recycle"
+            );
+            let g = c.enter();
+            let n = mknode(i);
+            retired.push(n);
+            unsafe { c.retire(g, n) };
+            c.exit(g);
+        }
+        // The last retire crossed the threshold while pinned, so everything
+        // retired before its pin went to this thread's pool.
+        assert_eq!(c.pending(), 1);
+        let g = c.enter();
+        let n = c.alloc(g, IKey::Val(ManuallyDrop::new(7), 7), Some(7), 1);
+        c.exit(g);
+        assert!(
+            retired.contains(&n),
+            "a height-1 insert reuses a pooled block"
+        );
+        unsafe { Node::dealloc(n) };
+        // An explicit collection frees the rest and empties the pools.
+        assert_eq!(c.collect(), 1);
+        assert!(c.slots.iter().all(|s| s.pool.lock().is_none()));
     }
 
     #[test]

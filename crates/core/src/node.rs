@@ -13,6 +13,12 @@
 //! inside one block, usually within one or two adjacent cache lines.
 //! [`Node::alloc`] and [`Node::dealloc`] compute the block's `Layout` from
 //! the height stored in the header.
+//!
+//! A block outlives the node in it when the collector recycles it: the
+//! payload is dropped ([`Node::drop_payload`]), the block waits in a
+//! per-thread pool as a free-list entry ([`Node::into_pooled`]), and the
+//! next insert of the same height writes a fresh node into it
+//! ([`Node::init`]).
 
 use std::alloc::{handle_alloc_error, Layout};
 use std::cell::UnsafeCell;
@@ -25,6 +31,9 @@ use parking_lot::RawMutex;
 
 /// Hard cap on tower height; `SkipQueue::with_params` enforces it.
 pub(crate) const MAX_HEIGHT: usize = 32;
+
+/// Debug-build fill byte for pooled blocks (see [`Node::into_pooled`]).
+const POOL_POISON: u8 = 0xA5;
 
 /// Internal ordering key: sentinels plus `(priority, unique sequence)`.
 ///
@@ -148,11 +157,27 @@ impl<K, V> Node<K, V> {
         if ptr.is_null() {
             handle_alloc_error(layout);
         }
-        // SAFETY: `ptr` is a fresh block of `layout`, which is aligned for
-        // `Self`, at least `size_of::<Self>()` long, and has room for
-        // `height` levels starting at the `levels` offset.
+        // SAFETY: a fresh block of exactly this height's layout.
+        unsafe { Self::init(ptr, key, value, height) };
+        ptr
+    }
+
+    /// Writes a fresh node into `block`: every header field and every level
+    /// of the tower, exactly as [`Node::alloc`] leaves them.
+    ///
+    /// # Safety
+    ///
+    /// `block` must be an exclusively owned block of `layout(height)` from
+    /// the global allocator holding no live node: fresh, or emptied by
+    /// [`Node::drop_payload`]. Whatever it held before is overwritten
+    /// without being dropped.
+    pub unsafe fn init(block: *mut Self, key: IKey<K>, value: Option<V>, height: usize) {
+        debug_assert!((1..=MAX_HEIGHT).contains(&height));
+        // SAFETY: per contract the block is aligned for `Self`, at least
+        // `size_of::<Self>()` long, and has room for `height` levels
+        // starting at the `levels` offset.
         unsafe {
-            ptr.write(Node {
+            block.write(Node {
                 value: UnsafeCell::new(value),
                 timestamp: AtomicU64::new(u64::MAX),
                 key_taken: AtomicBool::new(false),
@@ -163,7 +188,7 @@ impl<K, V> Node<K, V> {
                 key,
                 levels: [],
             });
-            let tower = addr_of_mut!((*ptr).levels).cast::<Level<K, V>>();
+            let tower = addr_of_mut!((*block).levels).cast::<Level<K, V>>();
             for lvl in 0..height {
                 tower.add(lvl).write(Level {
                     lock: RawMutex::INIT,
@@ -171,7 +196,47 @@ impl<K, V> Node<K, V> {
                 });
             }
         }
-        ptr
+    }
+
+    /// Drops any value still present and the priority if it was not moved
+    /// out by a deleter, leaving the block allocated and holding no live
+    /// node: ready for [`Node::init`] or [`Node::free_block`]. Returns the
+    /// block's height.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be a live node from [`Node::alloc`] or [`Node::init`],
+    /// emptied at most once, and no other thread may access it
+    /// concurrently or afterwards (the collector's quiescence rule
+    /// establishes this).
+    pub unsafe fn drop_payload(ptr: *mut Self) -> usize {
+        // SAFETY: per contract we own the live node exclusively. An untaken
+        // key was never moved out, so this is its only drop.
+        // `drop_in_place` then drops the header's fields: the value is the
+        // only one with drop glue (the key is `ManuallyDrop`, and locks and
+        // atomics have none), and the tower holds only locks and atomic
+        // pointers, so it needs no drop.
+        unsafe {
+            let height = (*ptr).height();
+            if !(*ptr).key_taken.load(Ordering::Relaxed) {
+                if let IKey::Val(k, _) = &mut (*ptr).key {
+                    ManuallyDrop::drop(k);
+                }
+            }
+            std::ptr::drop_in_place(ptr);
+            height
+        }
+    }
+
+    /// Returns a block to the global allocator.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be a `height`-level block from [`Node::alloc`] holding no
+    /// live node, freed at most once and never accessed afterwards.
+    pub unsafe fn free_block(ptr: *mut Self, height: usize) {
+        // SAFETY: per contract, allocated with exactly this layout.
+        unsafe { std::alloc::dealloc(ptr.cast(), Self::layout(height)) }
     }
 
     /// Frees a node, dropping any value still present and the priority if it
@@ -179,32 +244,66 @@ impl<K, V> Node<K, V> {
     ///
     /// # Safety
     ///
-    /// `ptr` must have come from [`Node::alloc`], must not be freed twice,
-    /// and no other thread may access it concurrently or afterwards (the
-    /// collector's quiescence rule establishes this).
+    /// As for [`Node::drop_payload`], and the block is never accessed
+    /// afterwards.
     pub unsafe fn dealloc(ptr: *mut Self) {
-        // SAFETY: per contract, `ptr` is a live block from `alloc` that we
-        // own exclusively, so reading its height rebuilds the exact layout
-        // it was allocated with. An untaken key was never moved out, so
-        // this is its only drop. `drop_in_place` then drops the header's
-        // fields: the value is the only one with drop glue (the key is
-        // `ManuallyDrop`, and locks and atomics have none), and the tower
-        // holds only locks and atomic pointers, so it needs no drop. After
-        // that nothing reads the block and it is freed with its layout.
+        // SAFETY: per contract.
         unsafe {
-            let layout = Self::layout((*ptr).height());
-            if !(*ptr).key_taken.load(Ordering::Relaxed) {
-                if let IKey::Val(k, _) = &mut (*ptr).key {
-                    ManuallyDrop::drop(k);
-                }
-            }
-            std::ptr::drop_in_place(ptr);
-            std::alloc::dealloc(ptr.cast(), layout);
+            let height = Self::drop_payload(ptr);
+            Self::free_block(ptr, height);
         }
+    }
+
+    /// The free-list link of a pooled block: the bottom level's `next`
+    /// slot, which every height has.
+    fn pool_link(block: *mut Self) -> *mut AtomicPtr<Self> {
+        // SAFETY: only computes an address inside the block (a field of the
+        // tower's first level); no reference to the possibly poisoned
+        // header is made.
+        unsafe {
+            let tower = addr_of_mut!((*block).levels).cast::<Level<K, V>>();
+            addr_of_mut!((*tower).next)
+        }
+    }
+
+    /// Turns an emptied `height`-level block into a free-list entry whose
+    /// link points at `next`. In debug builds the whole block except the
+    /// link is first overwritten with [`POOL_POISON`]: a stale reader of a
+    /// pooled block, which is never freed and so invisible to
+    /// AddressSanitizer, then trips the height assertion in
+    /// [`Node::height`] or faults on a non-canonical forward pointer.
+    ///
+    /// # Safety
+    ///
+    /// `block` must be an exclusively owned `height`-level block from
+    /// [`Node::alloc`] that holds no live node.
+    pub unsafe fn into_pooled(block: *mut Self, height: usize, next: *mut Self) {
+        // SAFETY: per contract the block is ours and `layout(height)` long.
+        unsafe {
+            if cfg!(debug_assertions) {
+                std::ptr::write_bytes(block.cast::<u8>(), POOL_POISON, Self::layout(height).size());
+            }
+            Self::pool_link(block).write(AtomicPtr::new(next));
+        }
+    }
+
+    /// The link of a free-list entry made by [`Node::into_pooled`].
+    ///
+    /// # Safety
+    ///
+    /// `block` must be a pooled block owned by the caller's pool.
+    pub unsafe fn pooled_next(block: *mut Self) -> *mut Self {
+        // SAFETY: per contract the link was written by `into_pooled`.
+        unsafe { (*Self::pool_link(block)).load(Ordering::Relaxed) }
     }
 
     /// Tower height (number of linked levels).
     pub fn height(&self) -> usize {
+        debug_assert!(
+            (1..=MAX_HEIGHT as u32).contains(&self.height),
+            "read of a reclaimed node (height {:#x})",
+            self.height
+        );
         self.height as usize
     }
 
@@ -385,6 +484,118 @@ mod tests {
         for take in [false, true] {
             roundtrip_every_height(|| OverAligned(1), || Tracked(2), take);
         }
+    }
+
+    /// Asserts that `n` is in the state [`Node::alloc`] leaves a node in:
+    /// stamp `MAX`, every flag clear, every lock free, every `next` null,
+    /// and the payload present.
+    unsafe fn assert_fresh<K, V>(n: *mut Node<K, V>, height: usize) {
+        // SAFETY: the caller owns the live node.
+        unsafe {
+            assert_eq!((*n).height(), height);
+            assert_eq!((*n).timestamp.load(Ordering::Relaxed), u64::MAX);
+            assert!(!(*n).key_taken.load(Ordering::Relaxed));
+            assert!(!(*n).deleted.load(Ordering::Relaxed));
+            assert!(!(*n).in_unlink_batch.load(Ordering::Relaxed));
+            assert!((*n).node_lock.try_lock(), "node lock starts free");
+            (*n).node_lock.unlock();
+            assert!((*(*n).value.get()).is_some());
+            assert!(matches!((*n).key, IKey::Val(..)));
+            for (i, level) in (*n).levels().iter().enumerate() {
+                assert!(level.next.load(Ordering::Relaxed).is_null(), "level {i}");
+                assert!(level.lock.try_lock(), "level {i} starts unlocked");
+                level.lock.unlock();
+            }
+        }
+    }
+
+    /// For every height: takes a node through a whole life (stamped,
+    /// marked, batched, locked, linked, optionally with its key moved out),
+    /// empties it, pools it (poisoning it in debug builds), and writes a
+    /// fresh node into the same block. The reused node must match a fresh
+    /// `alloc`, and both generations' keys and values drop exactly once.
+    fn reuse_every_height(take: bool) {
+        for height in 1..=MAX_HEIGHT {
+            let before = drops();
+            let n = Node::alloc(
+                IKey::Val(ManuallyDrop::new(Tracked(1)), 0),
+                Some(Tracked(2)),
+                height,
+            );
+            unsafe {
+                assert_fresh(n, height);
+                (*n).timestamp.store(7, Ordering::Relaxed);
+                (*n).deleted.store(true, Ordering::Relaxed);
+                (*n).in_unlink_batch.store(true, Ordering::Relaxed);
+                (*n).node_lock.lock();
+                for level in (*n).levels() {
+                    level.lock.lock();
+                    level.next.store(n, Ordering::Relaxed);
+                }
+                if take {
+                    drop((*n).take_key());
+                }
+                assert_eq!(Node::drop_payload(n), height);
+                assert_eq!(drops() - before, 2, "height {height}: first payload");
+
+                Node::into_pooled(n, height, std::ptr::null_mut());
+                assert!(Node::pooled_next(n).is_null());
+                Node::init(
+                    n,
+                    IKey::Val(ManuallyDrop::new(Tracked(3)), 1),
+                    Some(Tracked(4)),
+                    height,
+                );
+                assert_fresh(n, height);
+                assert_eq!(drops() - before, 2, "init drops nothing");
+                Node::dealloc(n);
+            }
+            assert_eq!(
+                drops() - before,
+                4,
+                "height {height}, key taken: {take}: each key and value dropped once"
+            );
+        }
+    }
+
+    #[test]
+    fn reused_blocks_match_fresh_nodes_at_every_height() {
+        for take in [false, true] {
+            reuse_every_height(take);
+        }
+    }
+
+    #[test]
+    fn pooled_blocks_chain_through_their_link() {
+        let a = Node::alloc(val(1, 0), Some(()), 3);
+        let b = Node::alloc(val(2, 1), Some(()), 3);
+        unsafe {
+            Node::drop_payload(a);
+            Node::drop_payload(b);
+            Node::into_pooled(a, 3, std::ptr::null_mut());
+            Node::into_pooled(b, 3, a);
+            assert_eq!(Node::pooled_next(b), a);
+            assert!(Node::pooled_next(a).is_null());
+            Node::free_block(a, 3);
+            Node::free_block(b, 3);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn reading_a_pooled_block_trips_the_poison_check() {
+        let n = Node::alloc(val(1, 0), Some(()), 2);
+        unsafe {
+            Node::drop_payload(n);
+            Node::into_pooled(n, 2, std::ptr::null_mut());
+        }
+        // A stale reader's first step past a node: its tower height.
+        let read =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe { (*n).height() }));
+        let msg = read.expect_err("poisoned height must not pass");
+        let msg = msg.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("read of a reclaimed node"), "{msg}");
+        unsafe { Node::free_block(n, 2) };
     }
 
     #[test]

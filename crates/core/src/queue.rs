@@ -44,14 +44,18 @@
 //! sequence numbering, and timestamp placement are identical to the eager
 //! path, so strict-mode semantics are preserved bit for bit.
 //!
-//! Batching widens a window the eager path does not have: a claimed node's
-//! key stays comparable-by-reference until the node is reclaimed, after
-//! the winning deleter has moved the key out. Keys must therefore order
-//! correctly on a bitwise copy whose original has been dropped — true for
-//! every `Copy`/scalar key (the paper's queues only ever hold integer
-//! priorities), but undefined behaviour for heap-owning keys (`String`,
-//! `Vec<u8>`, …). The batched constructors carry a `K: Copy` bound so the
-//! type system enforces this; heap-owning keys get the eager default.
+//! A claimed node's key stays comparable-by-reference until the node is
+//! reclaimed, after the winning deleter has moved the key out. On the
+//! eager path the window is short (a search that reached the victim just
+//! before the unlink), and for keys with drop glue `delete_min` closes it:
+//! it waits, after unpinning, until every thread pinned before the unlink
+//! has exited, and only then hands the key out. Batching widens the window
+//! to a whole batch, so there keys must order correctly on a bitwise copy
+//! whose original has been dropped — true for every `Copy`/scalar key (the
+//! paper's queues only ever hold integer priorities), but undefined
+//! behaviour for heap-owning keys (`String`, `Vec<u8>`, …). The batched
+//! constructors carry a `K: Copy` bound so the type system enforces this;
+//! heap-owning keys get the eager default.
 //!
 //! Locking invariant: a node's `levels()[i].next` is only written while
 //! holding that node's `levels()[i].lock`; reads are lock-free (`Acquire`).
@@ -242,6 +246,9 @@ struct NativeOp<'q, K, V> {
     out: Cell<Option<(K, V)>>,
     /// The GC pin token, held between `enter` and `exit`.
     pin: Cell<Option<RawGuard>>,
+    /// Deletion stamp of the eager victim this operation retired, kept only
+    /// for keys with drop glue (see `exit`).
+    retired: Cell<Option<u64>>,
     /// Set when the stale-hint mutation is armed for this operation's
     /// cleaner (see `TestHooks::buggy_abort`).
     keep_hint: Cell<bool>,
@@ -254,6 +261,7 @@ impl<'q, K: Ord, V> NativeOp<'q, K, V> {
             input: Cell::new(None),
             out: Cell::new(None),
             pin: Cell::new(None),
+            retired: Cell::new(None),
             keep_hint: Cell::new(false),
         }
     }
@@ -331,7 +339,17 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     }
 
     async fn exit(&self) {
-        self.q.gc.exit(self.pin.take().expect("exit without enter"));
+        let pin = self.pin.take().expect("exit without enter");
+        self.q.gc.exit(pin);
+        // An eager winner moves a key with drop glue out of its victim, and
+        // the caller may drop it as soon as `delete_min` returns. A search
+        // that reached the victim before the unlink may still compare that
+        // key, so wait for every such search to exit before handing it out.
+        if std::mem::needs_drop::<K>() {
+            if let Some(stamp) = self.retired.take() {
+                self.q.gc.wait_for_readers(pin, stamp);
+            }
+        }
     }
 
     fn insert_prepare(&self) -> Self::SearchKey {
@@ -341,12 +359,13 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
             ManuallyDrop::new(key),
             self.q.seq.fetch_add(1, Ordering::Relaxed),
         );
-        Node::alloc(ikey, Some(value), height)
+        let pin = self.pin.get().expect("insert under pin");
+        self.q.gc.alloc(pin, ikey, Some(value), height)
     }
 
     fn materialize(&self, skey: Self::SearchKey) -> (Self::Node, usize) {
-        // SAFETY: freshly allocated in `insert_prepare`, exclusively owned
-        // until linked.
+        // SAFETY: freshly allocated (or recycled) in `insert_prepare`,
+        // exclusively owned until linked.
         (skey, unsafe { (*skey).height() })
     }
 
@@ -449,7 +468,10 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     async fn retire_one(&self, victim: Self::Node, _height: usize) {
         let pin = self.pin.get().expect("retire under pin");
         // SAFETY: this caller unlinked `victim` and holds the pin.
-        unsafe { self.q.gc.retire(pin, victim) };
+        let stamp = unsafe { self.q.gc.retire(pin, victim) };
+        if std::mem::needs_drop::<K>() {
+            self.retired.set(Some(stamp));
+        }
     }
 
     fn deferred_push(&self, _node: Self::Node) -> bool {
@@ -1127,6 +1149,54 @@ mod tests {
         }
         q.collect_garbage();
         assert_eq!(q.garbage_pending(), 0);
+    }
+
+    #[test]
+    fn queue_dropped_with_full_pools_leaks_nothing() {
+        // Hold loops on two threads fill both threads' node pools with
+        // reclaimed blocks (and leave garbage pending); dropping the queue
+        // must free pooled blocks, garbage and linked nodes alike. Payload
+        // drops are counted here; the blocks are checked by the
+        // AddressSanitizer job's leak check.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+        struct Tracked;
+        impl Tracked {
+            fn new() -> Self {
+                LIVE.fetch_add(1, Ordering::SeqCst);
+                Tracked
+            }
+        }
+        impl Drop for Tracked {
+            fn drop(&mut self) {
+                LIVE.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+
+        {
+            let q: SkipQueue<u64, Tracked> = SkipQueue::new();
+            for k in 0..512 {
+                q.insert(k, Tracked::new());
+            }
+            std::thread::scope(|s| {
+                for t in 0..2u64 {
+                    let q = &q;
+                    s.spawn(move || {
+                        for i in 0..4_000u64 {
+                            let (k, v) = q.delete_min().expect("hold keeps the queue full");
+                            q.insert(k + 1 + (i * 7 + t) % 97, v);
+                        }
+                    });
+                }
+            });
+            assert_eq!(q.len(), 512);
+        }
+        assert_eq!(
+            LIVE.load(Ordering::SeqCst),
+            0,
+            "payload leak or double drop"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! was inside the structure at unlink time has exited, and everything is
 //! reclaimed at quiescence — across heavy churn and many threads.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use shardq::ShardedSkipQueue;
@@ -95,6 +95,29 @@ fn values_of_reclaimed_nodes_are_dropped_exactly_once() {
 }
 
 #[test]
+fn garbage_of_exited_threads_is_freed_by_collect_garbage() {
+    // The threshold path reclaims only the calling thread's own garbage, so
+    // what a thread retired since its last collection waits on its list
+    // after it exits; an explicit collection from another thread frees it.
+    let q: SkipQueue<u64, u64> = SkipQueue::new();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for k in 0..300 {
+                q.insert(k, k);
+            }
+            for _ in 0..100 {
+                q.delete_min().unwrap();
+            }
+        });
+    });
+    let left = q.garbage_pending();
+    assert!(left > 0, "the exited thread left retired nodes behind");
+    assert_eq!(q.collect_garbage(), left);
+    assert_eq!(q.garbage_pending(), 0);
+    assert_eq!(q.len(), 200);
+}
+
+#[test]
 fn keys_with_drop_glue_survive_gc() {
     // String keys exercise take_key()'s ManuallyDrop handling under churn.
     let q: Arc<SkipQueue<String, u64>> = Arc::new(SkipQueue::new());
@@ -113,6 +136,97 @@ fn keys_with_drop_glue_survive_gc() {
             });
         }
     });
+    q.collect_garbage();
+    assert_eq!(q.garbage_pending(), 0);
+}
+
+/// Comparisons that read a key after its owner dropped it (see
+/// [`CanaryKey`]).
+static STALE_COMPARES: AtomicUsize = AtomicUsize::new(0);
+
+/// A key with drop glue whose heap state is a leaked, never-freed canary
+/// cell: dropping the key marks its cell dead, and every comparison checks
+/// both operands' cells. A comparison against a popped-and-dropped key is
+/// then a counted, well-defined event instead of a read of freed memory.
+struct CanaryKey {
+    prio: u64,
+    live: &'static AtomicBool,
+}
+
+impl CanaryKey {
+    fn new(prio: u64) -> Self {
+        CanaryKey {
+            prio,
+            live: Box::leak(Box::new(AtomicBool::new(true))),
+        }
+    }
+}
+
+impl Drop for CanaryKey {
+    fn drop(&mut self) {
+        self.live.store(false, Ordering::SeqCst);
+    }
+}
+
+impl Ord for CanaryKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        for key in [self, other] {
+            if !key.live.load(Ordering::SeqCst) {
+                STALE_COMPARES.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        self.prio.cmp(&other.prio)
+    }
+}
+
+impl PartialOrd for CanaryKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for CanaryKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for CanaryKey {}
+
+#[test]
+fn drop_glue_keys_outlive_concurrent_readers() {
+    // Hold model on the eager path with more threads than cores: every
+    // popped key is dropped at once, while other threads' searches walk
+    // the same front of the list and can be preempted between loading a
+    // pointer to a victim and comparing its key. `delete_min` must not
+    // hand a key out while such a search may still compare it.
+    const THREADS: u64 = 8;
+    const HOLDS: u64 = 20_000;
+    let q: Arc<SkipQueue<CanaryKey, u64>> = Arc::new(SkipQueue::new());
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let q = Arc::clone(&q);
+            s.spawn(move || {
+                for i in 0..64 {
+                    q.insert(CanaryKey::new(i * THREADS + t), t);
+                }
+                let mut x = t + 1;
+                for _ in 0..HOLDS {
+                    if let Some((key, v)) = q.delete_min() {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        q.insert(CanaryKey::new(key.prio + 1 + x % 64), v);
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(
+        STALE_COMPARES.load(Ordering::SeqCst),
+        0,
+        "a search compared a key that delete_min had already handed out and dropped"
+    );
     q.collect_garbage();
     assert_eq!(q.garbage_pending(), 0);
 }
