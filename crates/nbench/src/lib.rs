@@ -187,7 +187,8 @@ pub struct Config {
     pub ops_per_thread: u64,
     /// Items inserted before the clock starts.
     pub prefill: u64,
-    /// Batch threshold used in `batched` mode.
+    /// Batch threshold used in `batched` mode; in sharded mode, the
+    /// system-wide budget split across the shards (`0` = eager).
     pub unlink_batch: usize,
     /// Thread counts to sweep.
     pub threads: Vec<usize>,
@@ -264,12 +265,9 @@ impl BenchQueue {
             RunMode::Batched => {
                 BenchQueue::Single(SkipQueue::new().with_unlink_batch(cfg.unlink_batch))
             }
-            // The batch threshold is a *system-wide* claimed-prefix budget:
-            // split it across shards, or every peek/claim walk pays the
-            // full single-queue deleted-prefix length — times the sample
-            // width.
+            // `with_params` splits the system-wide budget across shards.
             RunMode::Sharded { shards, sample } => BenchQueue::Sharded(
-                ShardedSkipQueue::with_params(shards, sample, (cfg.unlink_batch / shards).max(1)),
+                ShardedSkipQueue::with_params(shards, sample, cfg.unlink_batch),
             ),
         }
     }

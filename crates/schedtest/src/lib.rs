@@ -18,7 +18,7 @@
 //! | FunnelList         | [`histcheck::History::check_strict`]    |
 //! | SkipQueue (strict, batched unlink) | same as strict — batching defers *physical* removal only, so Definition 1 must survive every schedule |
 //! | SkipQueue (relaxed, batched unlink)| same as relaxed |
-//! | Sharded ([`SHARDED_SHARDS`] strict batched shards, sample [`SHARDED_SAMPLE`]) | [`histcheck::History::check_integrity`] must be clean; the sampling relaxation is *measured* as [`ScheduleOutcome::rank_error`] |
+//! | Sharded (`shardq`'s delete-min policy over [`SHARDED_SHARDS`] strict batched shards, sample [`SHARDED_SAMPLE`]) | [`histcheck::History::check_integrity`] must be clean; the sampling relaxation is *measured* as [`ScheduleOutcome::rank_error`] |
 //!
 //! Everything is a pure function of the [`ScheduleConfig`]: re-running a
 //! failing seed replays the exact schedule, bug included. The `schedtest`
@@ -28,6 +28,7 @@
 
 use histcheck::{History, RankSummary, Violation};
 use pqsim::{FaultSpec, Pid, Proc, SchedSpec, Sim, SimConfig, SimReport, StallSpec};
+use shardq::policy::Shards;
 use simpq::{HistoryTap, SimFunnelList, SimHuntHeap, SimSkipQueue};
 
 /// Which simulated queue a schedule drives.
@@ -49,15 +50,15 @@ pub enum QueueUnderTest {
     SkipQueueStrictBatched,
     /// The relaxed SkipQueue with batched physical unlinking enabled.
     SkipQueueRelaxedBatched,
-    /// A sharded multi-queue front-end (the simulated counterpart of the
-    /// native `shardq` crate): [`SHARDED_SHARDS`] independent strict
-    /// batched SkipQueues, inserts routed by processor id, `delete_min`
-    /// sampling [`SHARDED_SAMPLE`] shards and claiming from the one with
-    /// the smallest front key, with an exact-scan fallback. Audited under
-    /// the relaxed contract — integrity must hold, and the sampling
-    /// relaxation is measured as rank error. The native elimination array
-    /// is not reproduced here (it is a contention optimization with no new
-    /// shared-memory protocol on the sim's word-level machine).
+    /// The sharded multi-queue front-end: [`SHARDED_SHARDS`] independent
+    /// strict batched SkipQueues, inserts routed by processor id, and
+    /// `delete_min` running the native `shardq` crate's own policy
+    /// (`shardq::policy::delete_min`, sample width [`SHARDED_SAMPLE`])
+    /// over the simulated shards. Audited under the relaxed contract —
+    /// integrity must hold, and the sampling relaxation is measured as
+    /// rank error. The policy's `park` hook is a no-op here: the
+    /// elimination array has no word-level protocol on the simulator yet,
+    /// so a lost claim goes straight to the exact scan.
     Sharded,
 }
 
@@ -234,12 +235,9 @@ enum QueueHandle {
     Skip(SimSkipQueue),
     Heap(SimHuntHeap),
     Funnel(SimFunnelList),
-    /// `shards` strict batched SkipQueues sharing one history tap; see
+    /// Strict batched SkipQueues sharing one history tap; see
     /// [`QueueUnderTest::Sharded`].
-    Sharded {
-        shards: Vec<SimSkipQueue>,
-        sample: usize,
-    },
+    Sharded(Vec<SimSkipQueue>),
 }
 
 impl QueueHandle {
@@ -251,7 +249,7 @@ impl QueueHandle {
             }
             QueueHandle::Heap(q) => q.insert(p, key, key).await,
             QueueHandle::Funnel(q) => q.insert(p, key, key).await,
-            QueueHandle::Sharded { shards, .. } => {
+            QueueHandle::Sharded(shards) => {
                 // Processor-id routing: deterministic, and adjacent pids
                 // land on different shards so sampling has work to do.
                 let i = p.pid() as usize % shards.len();
@@ -265,79 +263,43 @@ impl QueueHandle {
             QueueHandle::Skip(q) => q.delete_min(p).await,
             QueueHandle::Heap(q) => q.delete_min(p).await,
             QueueHandle::Funnel(q) => q.delete_min(p).await,
-            QueueHandle::Sharded { shards, sample } => {
-                Self::sharded_delete_min(shards, *sample, p).await
+            QueueHandle::Sharded(shards) => {
+                shardq::policy::delete_min(&SimShards { shards, p }, SHARDED_SAMPLE).await
             }
         }
     }
+}
 
-    /// The native `shardq` delete-min policy: sample `c` distinct
-    /// shards with non-claiming probes, claim from the smallest front,
-    /// fall back to an exact scan of all shards when sampling found
-    /// nothing (or lost its claim race). A shard-level `delete_min` that
-    /// races to empty records a `None` into the shared history — a true
-    /// observation of that shard, harmless to the relaxed-contract audit
-    /// (integrity ignores EMPTY deletes, and so does the rank auditor).
-    async fn sharded_delete_min(
-        shards: &[SimSkipQueue],
-        sample: usize,
-        p: &Proc,
-    ) -> Option<(u64, u64)> {
-        let k = shards.len();
-        let c = sample.min(k);
-        let mut best: Option<(u64, usize)> = None;
-        if c == k {
-            for (i, s) in shards.iter().enumerate() {
-                if let Some(key) = s.peek_min_key(p).await {
-                    if best.is_none_or(|(bk, _)| key < bk) {
-                        best = Some((key, i));
-                    }
-                }
-            }
-        } else {
-            let mut chosen = [0usize; 8];
-            let mut n = 0;
-            while n < c {
-                let i = p.gen_range_u64(k as u64) as usize;
-                if !chosen[..n].contains(&i) {
-                    chosen[n] = i;
-                    n += 1;
-                }
-            }
-            for &i in &chosen[..c] {
-                if let Some(key) = shards[i].peek_min_key(p).await {
-                    if best.is_none_or(|(bk, _)| key < bk) {
-                        best = Some((key, i));
-                    }
-                }
-            }
-        }
-        if let Some((_, i)) = best {
-            if let Some(kv) = shards[i].delete_min(p).await {
-                return Some(kv);
-            }
-        }
-        // Exact-scan fallback: claim the globally smallest front; only a
-        // full pass of empty shards means EMPTY. Fronts that race away
-        // between the probe and the claim imply another processor made
-        // progress, so rescanning preserves system-wide progress.
-        loop {
-            let mut fronts: Vec<(u64, usize)> = Vec::with_capacity(k);
-            for (i, s) in shards.iter().enumerate() {
-                if let Some(key) = s.peek_min_key(p).await {
-                    fronts.push((key, i));
-                }
-            }
-            if fronts.is_empty() {
-                return None;
-            }
-            fronts.sort_unstable();
-            for &(_, i) in &fronts {
-                if let Some(kv) = shards[i].delete_min(p).await {
-                    return Some(kv);
-                }
-            }
-        }
+/// [`QueueUnderTest::Sharded`]'s shards as one processor sees them: the
+/// `shardq` policy's seam on the simulator. The pick is the processor's
+/// seeded RNG; `park` and the fallback count keep their no-op defaults.
+/// A shard-level claim that races to empty records a `None` into the
+/// shared history — a true observation of that shard, harmless to the
+/// relaxed-contract audit (integrity ignores EMPTY deletes, and so does
+/// the rank auditor).
+struct SimShards<'a> {
+    shards: &'a [SimSkipQueue],
+    p: &'a Proc,
+}
+
+impl Shards for SimShards<'_> {
+    type Key = u64;
+    type Item = (u64, u64);
+
+    fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn pick(&self) -> usize {
+        self.p.gen_range_u64(self.shards.len() as u64) as usize
+    }
+
+    async fn peek(&self, i: usize) -> Option<u64> {
+        self.shards[i].peek_min_key(self.p).await
+    }
+
+    async fn claim(&self, i: usize) -> Option<(u64, u64)> {
+        self.shards[i].delete_min(self.p).await
     }
 }
 
@@ -468,12 +430,11 @@ pub fn run_schedule(cfg: &ScheduleConfig) -> ScheduleOutcome {
         QueueUnderTest::SkipQueueRelaxedBatched => {
             QueueHandle::Skip(make_skipqueue(&sim, false, true, &tap))
         }
-        QueueUnderTest::Sharded => QueueHandle::Sharded {
-            shards: (0..SHARDED_SHARDS)
+        QueueUnderTest::Sharded => QueueHandle::Sharded(
+            (0..SHARDED_SHARDS)
                 .map(|_| make_skipqueue(&sim, true, true, &tap))
                 .collect(),
-            sample: SHARDED_SAMPLE,
-        },
+        ),
     };
     spawn_workers(&mut sim, cfg, handle);
     let report = sim.run();

@@ -36,21 +36,32 @@
 //! timestamp mechanism), so the only relaxation is *which* shard a
 //! claim lands on — the source of rank error is sampling, not the
 //! underlying queues.
+//!
+//! The delete-min policy (sampling, claiming, parking, the exact-scan
+//! fallback) is written once, in [`policy`], generic over the
+//! [`policy::Shards`] seam — the same pattern as `pqalgo`'s `Platform`.
+//! This crate implements every hook natively: a thread-local xorshift
+//! pick, [`SkipQueue::peek_min_key`] and [`SkipQueue::delete_min`] per
+//! shard, a `park` in the elimination array and a fallback counter.
+//! `schedtest` implements the seam over simulated SkipQueues with the
+//! processor's seeded RNG as the pick and keeps the default no-op `park`
+//! and fallback hooks, so the policy it audits is this one. Insert routing
+//! stays per runtime: it is a runtime's notion of thread identity, not
+//! policy.
 
 mod elim;
+pub mod policy;
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
 use elim::EliminationArray;
+use policy::Shards;
 use skipqueue::{PriorityQueue, SkipQueue, DEFAULT_UNLINK_BATCH};
 
 /// Default sampling width for `delete_min` (power-of-two-choices).
 pub const DEFAULT_SAMPLE: usize = 2;
-
-/// Sampling widths beyond this clamp to a full scan of all shards.
-const MAX_SAMPLE: usize = 8;
 
 /// Spin budget for a parked deleter in the elimination array.
 pub const DEFAULT_ELIM_SPINS: u32 = 128;
@@ -75,33 +86,33 @@ pub struct ShardedSkipQueue<K: Ord + Copy, V> {
 
 impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
     /// `shards` strict batched SkipQueues, sample width
-    /// [`DEFAULT_SAMPLE`].
-    ///
-    /// The default unlink threshold is treated as a *system-wide*
-    /// claimed-prefix budget and split across shards: every `delete_min`
-    /// here walks `sample + 1` deleted prefixes (peeks plus the claim), so
-    /// a full per-shard threshold would multiply the walk cost by the
-    /// shard count.
+    /// [`DEFAULT_SAMPLE`], system-wide unlink budget
+    /// [`DEFAULT_UNLINK_BATCH`].
     pub fn new(shards: usize) -> Self {
-        Self::with_params(
-            shards,
-            DEFAULT_SAMPLE,
-            (DEFAULT_UNLINK_BATCH / shards).max(1),
-        )
+        Self::with_params(shards, DEFAULT_SAMPLE, DEFAULT_UNLINK_BATCH)
     }
 
-    /// Full-knob constructor. `unlink_batch = 0` keeps every shard on the
-    /// paper's eager per-delete unlink; `sample` is clamped to the shard
-    /// count (and to 8 — beyond that a full scan is cheaper than distinct
-    /// sampling). The elimination array has one slot per shard.
+    /// Full-knob constructor.
+    ///
+    /// `unlink_batch` is a *system-wide* claimed-prefix budget, split
+    /// evenly across shards, rounding up: every `delete_min` walks
+    /// `sample + 1` deleted prefixes (peeks plus the claim), so a full
+    /// per-shard threshold would multiply the walk cost by the shard
+    /// count. A positive budget leaves every shard at least 1; `0` keeps
+    /// every shard on the paper's eager per-delete unlink.
+    ///
+    /// A `sample` of at least `min(shards, 9)` peeks every shard (beyond 8
+    /// a full scan is cheaper than distinct sampling). The elimination
+    /// array has one slot per shard.
     pub fn with_params(shards: usize, sample: usize, unlink_batch: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         assert!(sample >= 1, "sample width must be at least 1");
+        let per_shard = unlink_batch.div_ceil(shards);
         Self {
             shards: (0..shards)
-                .map(|_| CachePadded::new(SkipQueue::new().with_unlink_batch(unlink_batch)))
+                .map(|_| CachePadded::new(SkipQueue::new().with_unlink_batch(per_shard)))
                 .collect(),
-            sample: sample.min(MAX_SAMPLE),
+            sample: policy::width(sample, shards),
             elim: EliminationArray::new(shards),
             fallback_claims: CachePadded::new(AtomicU64::new(0)),
         }
@@ -112,9 +123,10 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
         self.shards.len()
     }
 
-    /// Effective sampling width (`c`, after clamping).
+    /// Effective sampling width `c`: the shard count when every shard is
+    /// peeked.
     pub fn sample_width(&self) -> usize {
-        self.sample.min(self.shards.len())
+        self.sample
     }
 
     /// Successful elimination hand-offs so far.
@@ -158,65 +170,9 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
     /// front key; a lost race parks in the elimination array; sampled-empty
     /// or unmatched parks fall back to [`ShardedSkipQueue::delete_min_exact`].
     /// Returns `None` only after a full pass observed every shard empty.
+    /// The policy is [`policy::delete_min`].
     pub fn delete_min(&self) -> Option<(K, V)> {
-        let k = self.shards.len();
-        if k == 1 {
-            return self.shards[0].delete_min();
-        }
-        let c = self.sample.min(k);
-        if c == 1 {
-            // Random-shard delete: no peek, claim straight from one shard
-            // (the classic c=1 multiqueue). Trades rank quality for a
-            // single walk per claim; an empty pick falls to the exact scan.
-            let i = (rng_next() % k as u64) as usize;
-            if let Some(kv) = self.shards[i].delete_min() {
-                return Some(kv);
-            }
-            return self.delete_min_exact();
-        }
-
-        let mut best: Option<(K, usize)> = None;
-        if c == k {
-            for (i, s) in self.shards.iter().enumerate() {
-                if let Some(key) = s.peek_min_key() {
-                    if best.is_none_or(|(bk, _)| key < bk) {
-                        best = Some((key, i));
-                    }
-                }
-            }
-        } else {
-            let mut idxs = [0usize; MAX_SAMPLE];
-            let mut n = 0;
-            while n < c {
-                let i = (rng_next() % k as u64) as usize;
-                if !idxs[..n].contains(&i) {
-                    idxs[n] = i;
-                    n += 1;
-                }
-            }
-            for &i in &idxs[..c] {
-                if let Some(key) = self.shards[i].peek_min_key() {
-                    if best.is_none_or(|(bk, _)| key < bk) {
-                        best = Some((key, i));
-                    }
-                }
-            }
-        }
-
-        if let Some((front, i)) = best {
-            if let Some(kv) = self.shards[i].delete_min() {
-                return Some(kv);
-            }
-            // Lost the claim race: park where an insert with a key no
-            // larger than the front we just saw can hand over directly.
-            if let Some(kv) = self
-                .elim
-                .park(front, DEFAULT_ELIM_SPINS, thread_ordinal() % k)
-            {
-                return Some(kv);
-            }
-        }
-        self.delete_min_exact()
+        policy::drive(policy::delete_min(&Native(self), self.sample))
     }
 
     /// Exact-scan delete-min: peeks *every* shard, claims from the
@@ -227,27 +183,7 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
     /// drain path — which is why it is public rather than an internal
     /// fallback detail.
     pub fn delete_min_exact(&self) -> Option<(K, V)> {
-        let mut fronts: Vec<(K, usize)> = Vec::with_capacity(self.shards.len());
-        loop {
-            fronts.clear();
-            for (i, s) in self.shards.iter().enumerate() {
-                if let Some(key) = s.peek_min_key() {
-                    fronts.push((key, i));
-                }
-            }
-            if fronts.is_empty() {
-                return None;
-            }
-            fronts.sort_unstable_by_key(|a| a.0);
-            for &(_, i) in fronts.iter() {
-                if let Some(kv) = self.shards[i].delete_min() {
-                    self.fallback_claims.fetch_add(1, Ordering::Relaxed);
-                    return Some(kv);
-                }
-            }
-            // Every observed front was claimed by someone else between the
-            // peek and our attempt — system-wide progress happened, rescan.
-        }
+        policy::drive(policy::delete_min_exact(&Native(self)))
     }
 
     /// Drains everything in priority order. Exclusive access means the
@@ -278,16 +214,46 @@ impl<K: Ord + Copy, V> ShardedSkipQueue<K, V> {
     }
 
     fn route(&self) -> usize {
-        let k = self.shards.len();
-        if k == 1 {
-            return 0;
-        }
         // Stride from a thread-specific starting offset: uniform load.
         RR.with(|c| {
             let n = c.get();
             c.set(n.wrapping_add(1));
-            (thread_ordinal().wrapping_add(n)) % k
+            (thread_ordinal().wrapping_add(n)) % self.shards.len()
         })
+    }
+}
+
+/// The native [`Shards`]: every hook is ready on first poll, so
+/// [`policy::drive`] runs the policy as straight-line code.
+struct Native<'a, K: Ord + Copy, V>(&'a ShardedSkipQueue<K, V>);
+
+impl<K: Ord + Copy, V> Shards for Native<'_, K, V> {
+    type Key = K;
+    type Item = (K, V);
+
+    fn shards(&self) -> usize {
+        self.0.shards.len()
+    }
+
+    fn pick(&self) -> usize {
+        (rng_next() % self.0.shards.len() as u64) as usize
+    }
+
+    async fn peek(&self, i: usize) -> Option<K> {
+        self.0.shards[i].peek_min_key()
+    }
+
+    async fn claim(&self, i: usize) -> Option<(K, V)> {
+        self.0.shards[i].delete_min()
+    }
+
+    async fn park(&self, bound: K) -> Option<(K, V)> {
+        let slot = thread_ordinal() % self.0.shards.len();
+        self.0.elim.park(bound, DEFAULT_ELIM_SPINS, slot)
+    }
+
+    fn note_fallback(&self) {
+        self.0.fallback_claims.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -397,6 +363,21 @@ mod tests {
             q.insert(42, "lone");
             assert_eq!(q.delete_min(), Some((42, "lone")));
             assert_eq!(q.delete_min(), None);
+        }
+    }
+
+    #[test]
+    fn sample_width_beyond_max_sample_peeks_every_shard() {
+        let q: ShardedSkipQueue<u64, u64> = ShardedSkipQueue::with_params(16, 12, 0);
+        assert_eq!(q.sample_width(), 16);
+        // One thread's round-robin puts one key on each shard, so every
+        // quiescent delete_min must find the minimum among all 16 fronts.
+        for round in 0..4u64 {
+            for i in 0..16 {
+                q.insert((i * 7 + round) % 16, i);
+            }
+            let got: Vec<u64> = (0..16).map(|_| q.delete_min().unwrap().0).collect();
+            assert_eq!(got, (0..16).collect::<Vec<_>>(), "round {round}");
         }
     }
 

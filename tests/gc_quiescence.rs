@@ -261,7 +261,7 @@ fn batched_retirement_under_shard_churn_leaks_nothing() {
             // elimination hand-offs bypass shards entirely (those payloads
             // must drop through the consumer, not a collector).
             let q: Arc<ShardedSkipQueue<u64, Tracked>> =
-                Arc::new(ShardedSkipQueue::with_params(4, 2, 4));
+                Arc::new(ShardedSkipQueue::with_params(4, 2, 16));
             std::thread::scope(|s| {
                 for t in 0..6u64 {
                     let q = Arc::clone(&q);
