@@ -1,10 +1,21 @@
 //! The global timestamp clock.
 //!
 //! On the paper's target machine `getTime()` reads a globally synchronized
-//! hardware clock. We substitute an atomic counter: `tick()` returns unique,
-//! strictly increasing stamps, so "operation A completed before operation B
-//! started" implies `stamp(A) < stamp(B)` — the only property the ordering
-//! argument (Lemma 1) uses.
+//! hardware clock. We substitute an atomic counter with two ways in:
+//!
+//! * [`TimestampClock::tick`] returns a fresh, unique stamp and advances the
+//!   counter. Only stamps that must be unique take one: an insert's
+//!   `timeStamp` and a retire's deletion stamp.
+//! * [`TimestampClock::peek`] reads the counter without writing it, like the
+//!   paper's clock read. A strict `delete_min`'s start time and a GC pin's
+//!   entry announcement are reads.
+//!
+//! A `tick` that completed before a `peek` began returned a value smaller
+//! than the one the `peek` sees, so "insert A completed before delete B
+//! started" still implies `stamp(A) < time(B)`, the only property the
+//! ordering argument (Lemma 1) uses. A read may *equal* a later tick's
+//! stamp; the collector's comparisons keep that tie on the safe side (see
+//! [`crate::gc`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -19,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// assert!(b > a, "stamps are unique and ordered");
 /// ```
 /// The type is aligned (and therefore padded) to 128 bytes so that the
-/// counter — bumped by every strict operation — never shares a cache line
+/// counter — bumped by every insert and retire — never shares a cache line
 /// with neighbouring fields of whatever struct embeds it (two lines on
 /// CPUs that prefetch line pairs).
 #[derive(Debug, Default)]
@@ -49,7 +60,12 @@ impl TimestampClock {
         self.counter.fetch_add(1, Ordering::SeqCst)
     }
 
-    /// Reads the clock without advancing it (diagnostics only).
+    /// Reads the clock without advancing it: the paper's `getTime()` read.
+    /// Greater than every stamp returned by a `tick` that completed before
+    /// this call began; it may equal the stamp a later `tick` returns. The
+    /// load (`SeqCst`, so also `Acquire`) synchronizes with the `tick` whose
+    /// value it reads, so whatever that tick's caller wrote before ticking
+    /// is visible afterwards.
     pub fn peek(&self) -> u64 {
         self.counter.load(Ordering::SeqCst)
     }
@@ -86,6 +102,16 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), n, "duplicate stamps issued");
+    }
+
+    #[test]
+    fn peek_reads_past_completed_ticks_without_advancing() {
+        let c = TimestampClock::new();
+        let a = c.tick();
+        let p = c.peek();
+        assert!(p > a, "a peek sees every completed tick");
+        assert_eq!(c.peek(), p, "a peek does not advance the clock");
+        assert_eq!(c.tick(), p, "the next tick may equal an earlier peek");
     }
 
     #[test]

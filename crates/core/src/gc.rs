@@ -43,19 +43,57 @@
 //! producer's malloc arena, which the consumers never allocate from, so
 //! a hold loop on a prefilled queue ends up holding two copies of the list.
 //!
-//! This is a QSBR-style scheme. Entry announcements and deletion stamps come
-//! from one global atomic counter, so they are totally ordered; the pin path
-//! uses a `SeqCst` fence (as in crossbeam-epoch) so a thread's announcement
-//! is visible to any collector that could otherwise free a node the thread
-//! may still reach.
+//! ## Entry announcements
+//!
+//! This is a QSBR-style scheme over one [`TimestampClock`], the same one the
+//! owning queue stamps its inserts on and reads its delete-min start times
+//! from (extra ticks only widen the gaps between values). A retire takes a
+//! fresh deletion stamp with a `tick`, a `fetch_add` that returns `r`. A pin
+//! only *reads* the clock (`peek`), like the paper's `getTime()`, stores the
+//! value `e` in its slot and issues one `SeqCst` fence (as in
+//! crossbeam-epoch) before it reads any pointer into the structure:
+//!
+//! * A pin whose read comes after the retire's `fetch_add` sees `e > r`,
+//!   and its read synchronizes with that `fetch_add`, so it also sees the
+//!   unlink (and the batched cleaner's hint store) that came before it: the
+//!   node is out of its reach and may go.
+//! * A pin whose read comes before sees `e <= r` and may reach the node, so
+//!   the node is kept while that entry is announced. `e == r` is possible
+//!   (ticks are unique, reads are not) and means "pinned before the
+//!   retire": reclamation frees only stamps strictly below the oldest
+//!   entry, and `Collector::wait_for_readers` waits while an entry is at
+//!   or below its stamp.
+//! * A collector fences before it reads the slots. Either it sees the
+//!   pin's entry, or the pin's fence comes later and everything the
+//!   collector saw unlinked is unlinked for the pinned reader too.
+//!
+//! So a pin writes only its own slot: no shared counter is bumped. The
+//! slot itself is found through a one-entry thread-local `(collector id,
+//! slot)` cache in front of a per-thread map; a thread that alternates
+//! collectors (a sharded queue's shards) falls through to the map.
+//!
+//! Slots are claimed in index order and never released, so a high-water
+//! mark of claimed slots bounds every scan: the oldest-entry scan and the
+//! length sum read only slots a thread has ever used, not all
+//! `max_threads` of them. A claim raises the mark before the claimer's
+//! first pin announces anything.
+//!
+//! ## Length shares
+//!
+//! Each slot also holds its thread's share of the owning queue's length:
+//! the items its inserts added minus the items its deletes removed. Only
+//! the owner writes it, with a plain load and store, so counting an item
+//! costs no shared read-modify-write. `Collector::len` sums the shares; a
+//! single share may be negative (a thread that only deletes), the sum is
+//! exact at quiescence.
 //!
 //! `Collector::wait_for_readers` turns the same announcements into a grace
 //! period: the eager `delete_min` uses it to hold back a popped key with drop
 //! glue until no search can still compare it.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
@@ -86,6 +124,9 @@ struct Slot<K, V> {
     owner: AtomicUsize,
     /// Entry timestamp, or [`OUTSIDE`].
     entry: AtomicU64,
+    /// The owning thread's share of the queue length; written only by the
+    /// owner (see the module docs).
+    len: AtomicIsize,
     /// Nodes retired by the owning thread, awaiting quiescence, in stamp
     /// order (only the owner appends, and its stamps only grow).
     garbage: Mutex<Vec<Retired<K, V>>>,
@@ -156,10 +197,13 @@ impl<K, V> Pool<K, V> {
 }
 
 /// The per-queue collector: one announcement slot per thread, plus the
-/// global stamp clock.
+/// stamp clock it shares with its queue.
 pub struct Collector<K, V> {
     id: u64,
     clock: TimestampClock,
+    /// One past the highest slot index ever claimed; every slot below it
+    /// is claimed, every slot from it on is unused.
+    claimed: AtomicUsize,
     slots: Box<[CachePadded<Slot<K, V>>]>,
 }
 
@@ -211,6 +255,9 @@ fn thread_token() -> usize {
 }
 
 thread_local! {
+    /// The last `(collector id, slot index)` this thread looked up. Ids
+    /// start at 1, so the initial entry never matches.
+    static LAST_SLOT: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
     /// Maps collector id -> claimed slot index, per thread.
     static SLOT_CACHE: RefCell<HashMap<u64, usize>> = RefCell::new(HashMap::new());
 }
@@ -226,6 +273,7 @@ impl<K, V> Collector<K, V> {
                 CachePadded::new(Slot {
                     owner: AtomicUsize::new(0),
                     entry: AtomicU64::new(OUTSIDE),
+                    len: AtomicIsize::new(0),
                     garbage: Mutex::new(Vec::new()),
                     pool: Mutex::new(None),
                 })
@@ -235,6 +283,7 @@ impl<K, V> Collector<K, V> {
         Self {
             id: collector_ids(),
             clock: TimestampClock::new(),
+            claimed: AtomicUsize::new(0),
             slots,
         }
     }
@@ -244,7 +293,7 @@ impl<K, V> Collector<K, V> {
         // Re-find a slot this thread already owns (cache miss after the
         // thread-local map was dropped, or first touch), else claim a free
         // one.
-        for (i, s) in self.slots.iter().enumerate() {
+        for (i, s) in self.claimed_slots().iter().enumerate() {
             if s.owner.load(Ordering::Relaxed) == token {
                 return i;
             }
@@ -255,6 +304,9 @@ impl<K, V> Collector<K, V> {
                     .compare_exchange(0, token, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
             {
+                // Before this thread's first pin: the pin's fence then
+                // publishes the mark along with the entry.
+                self.claimed.fetch_max(i + 1, Ordering::SeqCst);
                 return i;
             }
         }
@@ -266,15 +318,34 @@ impl<K, V> Collector<K, V> {
     }
 
     fn slot_index(&self) -> usize {
-        SLOT_CACHE.with(|c| {
-            let mut map = c.borrow_mut();
-            if let Some(&idx) = map.get(&self.id) {
-                return idx;
-            }
-            let idx = self.claim_slot();
-            map.insert(self.id, idx);
-            idx
-        })
+        match LAST_SLOT.get() {
+            (id, idx) if id == self.id => idx,
+            _ => self.slot_index_slow(),
+        }
+    }
+
+    /// The front cache missed: look the slot up in (or claim it into) the
+    /// per-thread map, and make it the front entry.
+    fn slot_index_slow(&self) -> usize {
+        let idx = SLOT_CACHE.with(|c| {
+            *c.borrow_mut()
+                .entry(self.id)
+                .or_insert_with(|| self.claim_slot())
+        });
+        LAST_SLOT.set((self.id, idx));
+        idx
+    }
+
+    /// The clock behind entry announcements and deletion stamps. The
+    /// owning queue stamps its inserts and reads its delete-min start
+    /// times on it too, so a hold touches one shared counter, not two.
+    pub(crate) fn clock(&self) -> &TimestampClock {
+        &self.clock
+    }
+
+    /// The claimed prefix of the slot table.
+    fn claimed_slots(&self) -> &[CachePadded<Slot<K, V>>] {
+        &self.slots[..self.claimed.load(Ordering::SeqCst)]
     }
 
     /// Announces that the current thread is inside the structure and returns
@@ -300,8 +371,8 @@ impl<K, V> Collector<K, V> {
                 nested: true,
             };
         }
-        let t = self.clock.tick();
-        slot.entry.store(t, Ordering::SeqCst);
+        // A read, not a tick: see "Entry announcements" in the module docs.
+        slot.entry.store(self.clock.peek(), Ordering::Relaxed);
         // Make the announcement visible before any pointer into the
         // structure is read (crossbeam-epoch-style publication fence).
         fence(Ordering::SeqCst);
@@ -363,6 +434,7 @@ impl<K, V> Collector<K, V> {
     /// thread's own garbage list into its own pool.
     fn recycle(&self, slot: &Slot<K, V>, garbage: &mut Vec<Retired<K, V>>) {
         let horizon = self.min_entry();
+        // Strictly below: an entry equal to a stamp pinned before it.
         let n = garbage.partition_point(|r| r.ts < horizon);
         if n == 0 {
             return;
@@ -390,12 +462,29 @@ impl<K, V> Collector<K, V> {
     /// The oldest entry announcement across all claimed slots.
     fn min_entry(&self) -> u64 {
         fence(Ordering::SeqCst);
-        self.slots
+        self.claimed_slots()
             .iter()
-            .filter(|s| s.owner.load(Ordering::Relaxed) != 0)
             .map(|s| s.entry.load(Ordering::SeqCst))
             .min()
             .unwrap_or(OUTSIDE)
+    }
+
+    /// Adds `delta` to the length share of the thread entered with `g`.
+    pub(crate) fn add_len(&self, g: RawGuard, delta: isize) {
+        let len = &self.slots[g.slot].len;
+        len.store(len.load(Ordering::Relaxed) + delta, Ordering::Relaxed);
+    }
+
+    /// The sum of every thread's length share, clamped at zero: exact when
+    /// no operation is in flight, approximate (but never negative) while
+    /// operations run.
+    pub(crate) fn len(&self) -> usize {
+        let sum: isize = self
+            .claimed_slots()
+            .iter()
+            .map(|s| s.len.load(Ordering::Relaxed))
+            .sum();
+        sum.max(0) as usize
     }
 
     /// Waits until every thread that was inside the structure when the
@@ -408,7 +497,9 @@ impl<K, V> Collector<K, V> {
             return;
         }
         let mut spins = 0u32;
-        while self.min_entry() < stamp {
+        // `<=`: an entry equal to the stamp was read before the retire's
+        // tick, so that reader may still reach the node.
+        while self.min_entry() <= stamp {
             spins += 1;
             if spins < 64 {
                 std::hint::spin_loop();
@@ -450,7 +541,7 @@ impl<K, V> Collector<K, V> {
     pub fn collect(&self) -> usize {
         let horizon = self.min_entry();
         let mut freed = 0;
-        for s in self.slots.iter() {
+        for s in self.claimed_slots() {
             // Skip slots another thread is concurrently collecting.
             if let Some(mut g) = s.garbage.try_lock() {
                 let n = g.partition_point(|r| r.ts < horizon);
@@ -470,7 +561,10 @@ impl<K, V> Collector<K, V> {
 
     /// Number of retired-but-not-yet-freed nodes (diagnostics).
     pub fn pending(&self) -> usize {
-        self.slots.iter().map(|s| s.garbage.lock().len()).sum()
+        self.claimed_slots()
+            .iter()
+            .map(|s| s.garbage.lock().len())
+            .sum()
     }
 
     /// Frees all remaining garbage and pooled blocks unconditionally.
@@ -544,6 +638,99 @@ mod tests {
             done_tx.send(()).unwrap();
         });
         assert_eq!(c.collect(), 1, "peer exited; node is reclaimable");
+    }
+
+    #[test]
+    fn pin_reads_the_clock_without_advancing_it() {
+        let c: Collector<u64, u64> = Collector::new(2);
+        let before = c.clock.peek();
+        let g = c.pin();
+        assert_eq!(c.slots[g.raw.slot].entry.load(Ordering::Relaxed), before);
+        drop(g);
+        assert_eq!(c.clock.peek(), before, "a pin writes only its own slot");
+    }
+
+    #[test]
+    fn pin_equal_to_a_later_retire_stamp_blocks_reclamation_and_grace() {
+        // A pin reads the clock and a retire ticks it, so with no tick in
+        // between the peer's entry equals the retire's stamp: the peer
+        // pinned before the retire and may still reach the node.
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc::channel;
+        let c: Collector<u64, u64> = Collector::new(4);
+        let released = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let (pinned_tx, pinned_rx) = channel();
+            let (go_tx, go_rx) = channel::<()>();
+            let (c2, released) = (&c, &released);
+            s.spawn(move || {
+                let g = c2.pin();
+                pinned_tx
+                    .send(c2.slots[g.raw.slot].entry.load(Ordering::Relaxed))
+                    .unwrap();
+                go_rx.recv().unwrap();
+                released.store(true, Ordering::SeqCst);
+                drop(g);
+            });
+            let entry = pinned_rx.recv().unwrap();
+            let g = c.enter();
+            let stamp = unsafe { c.retire(g, mknode(4)) };
+            c.exit(g);
+            assert_eq!(stamp, entry, "the retire's tick returned the value read");
+            assert_eq!(c.collect(), 0, "an equal entry keeps the node");
+            s.spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                go_tx.send(()).unwrap();
+            });
+            c.wait_for_readers(g, stamp);
+            assert!(
+                released.load(Ordering::SeqCst),
+                "the grace period ended while an equal entry was announced"
+            );
+        });
+        assert_eq!(c.collect(), 1, "peer exited; node is reclaimable");
+    }
+
+    #[test]
+    fn alternating_collectors_keep_one_slot_each() {
+        // One slot per collector: a second claim in either would panic, so
+        // every front-cache miss must find the slot again through the map.
+        let a: Collector<u64, u64> = Collector::new(1);
+        let b: Collector<u64, u64> = Collector::new(1);
+        for i in 0..100 {
+            let c = if i % 2 == 0 { &a } else { &b };
+            let g = c.enter();
+            unsafe { c.retire(g, mknode(i)) };
+            c.add_len(g, 1);
+            c.exit(g);
+        }
+        for c in [&a, &b] {
+            assert_eq!(c.claimed.load(Ordering::Relaxed), 1);
+            assert_eq!(c.slots[0].owner.load(Ordering::Relaxed), thread_token());
+            assert_eq!(c.len(), 50);
+            assert_eq!(c.collect(), 50, "each collector holds its own garbage");
+        }
+    }
+
+    #[test]
+    fn length_shares_may_go_negative_but_the_sum_does_not() {
+        let c: Collector<u64, u64> = Collector::new(4);
+        let g = c.enter();
+        c.add_len(g, 3);
+        c.exit(g);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let g = c.enter();
+                c.add_len(g, -5);
+                c.exit(g);
+            });
+        });
+        assert_eq!(c.claimed.load(Ordering::Relaxed), 2);
+        assert_eq!(c.len(), 0, "clamped while shares sum to -2");
+        let g = c.enter();
+        c.add_len(g, 4);
+        c.exit(g);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

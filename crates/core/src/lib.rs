@@ -56,7 +56,9 @@
 //!   out in insertion order. This also gives the physical-delete search an
 //!   exact identity to look for.
 //! * `getTime()` is a shared hardware clock on Alewife; here it is a global
-//!   atomic counter whose `fetch_add` gives unique, totally ordered stamps,
+//!   atomic counter. Stamps that must be unique (an insert's time stamp, a
+//!   retire's deletion stamp) take a `fetch_add`; a delete's start time and
+//!   a GC pin only load it. A completed stamp is below every later read,
 //!   which is exactly the property Lemma 1 needs.
 //! * Opt-in **batched physical deletion** ([`SkipQueue::with_unlink_batch`]):
 //!   `delete_min` winners leave the marked node linked and a single thread

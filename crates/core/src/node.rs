@@ -162,6 +162,23 @@ impl<K, V> Node<K, V> {
         ptr
     }
 
+    /// Asks the CPU to start loading the cache line that holds `node`'s key,
+    /// so a search can overlap that miss with the one it is waiting on. Only
+    /// computes an address: `node` may be null or dangling. A no-op off
+    /// x86_64.
+    #[inline(always)]
+    pub fn prefetch_key(node: *const Self) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let key = node.cast::<i8>().wrapping_add(offset_of!(Self, key));
+            // SAFETY: a prefetch never faults, whatever the address.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(key) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = node;
+    }
+
     /// Writes a fresh node into `block`: every header field and every level
     /// of the tower, exactly as [`Node::alloc`] leaves them.
     ///

@@ -66,7 +66,7 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::mem::ManuallyDrop;
-use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::task::{Context, Poll, Waker};
 
@@ -76,7 +76,6 @@ use parking_lot::RawMutex;
 
 use pqalgo::{CleanupPhase, Event, InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
 
-use crate::clock::TimestampClock;
 use crate::gc::{Collector, RawGuard};
 use crate::node::{IKey, Node, MAX_HEIGHT};
 use crate::pq::PriorityQueue;
@@ -100,12 +99,9 @@ const MAX_BATCH: usize = 512;
 pub struct SkipQueue<K, V> {
     head: *mut Node<K, V>,
     tail: *mut Node<K, V>,
-    /// Self-padded to its own cache line(s); see [`TimestampClock`].
-    clock: TimestampClock,
     /// Insert sequence counter; padded so insert traffic does not false-share
-    /// with `len` (bumped by every delete) or the clock.
+    /// with the collector's clock or the batched-mode counters.
     seq: CachePadded<AtomicU64>,
-    len: CachePadded<AtomicUsize>,
     /// Claimed-but-still-linked nodes awaiting a batched physical delete.
     /// Signed because a claimer marks its node (making it collectible)
     /// *before* counting it here, so a concurrent sweep can subtract a
@@ -119,10 +115,13 @@ pub struct SkipQueue<K, V> {
     /// Bottom-level scan-start hint: the first node a `delete_min` walk may
     /// need to look at (null ⇒ start at `head.next(0)`). Everything
     /// physically before it is marked. Published by the cleaner *before*
-    /// the batch it covers is retired, always with `SeqCst`, which (with the
-    /// `SeqCst` pin in [`crate::gc`]) is what makes dereferencing a loaded
-    /// hint sound: a thread whose pin is recent enough to allow the hint's
-    /// target to be freed is guaranteed to load the newer hint value.
+    /// the batch it covers is retired, always with `SeqCst`. That is what
+    /// makes dereferencing a loaded hint sound: a pin reads the collector's
+    /// clock (see [`crate::gc`]), and a pin recent enough to allow the old
+    /// hint's target to be freed read the value the batch's retire
+    /// `fetch_add` wrote, or a later one. Its read therefore synchronizes
+    /// with that `fetch_add`, which the cleaner made after the hint store,
+    /// so the thread loads the newer hint value.
     front: CachePadded<AtomicPtr<Node<K, V>>>,
     /// Bumped (`SeqCst`) by every insert after linking, before stamping.
     /// The cleaner publishes a hint only if this is unchanged across its
@@ -360,6 +359,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
             self.q.seq.fetch_add(1, Ordering::Relaxed),
         );
         let pin = self.pin.get().expect("insert under pin");
+        self.q.gc.add_len(pin, 1);
         self.q.gc.alloc(pin, ikey, Some(value), height)
     }
 
@@ -378,13 +378,21 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         unsafe {
             (*node)
                 .timestamp
-                .store(self.q.clock.tick(), Ordering::Release);
+                .store(self.q.gc.clock().tick(), Ordering::Release);
         }
     }
 
     async fn load_next(&self, node: Self::Node, lvl: usize) -> Self::Node {
         // SAFETY: platform contract.
-        unsafe { (*node).next(lvl) }
+        unsafe {
+            if lvl > 0 {
+                // A search that stops on this level drops to `lvl - 1` and
+                // compares the key of `node.next(lvl - 1)` next: start that
+                // miss now, overlapped with the one on this level's successor.
+                Node::prefetch_key((*node).next(lvl - 1));
+            }
+            (*node).next(lvl)
+        }
     }
 
     async fn store_next(&self, node: Self::Node, lvl: usize, to: Self::Node) {
@@ -426,7 +434,9 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     }
 
     async fn delete_read_clock(&self) -> u64 {
-        self.q.clock.tick()
+        // A read: Lemma 1 needs only "an insert that completed before this
+        // delete began has a smaller stamp" (see `TimestampClock::peek`).
+        self.q.gc.clock().peek()
     }
 
     async fn load_stamp(&self, node: Self::Node) -> u64 {
@@ -454,6 +464,8 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
             let key = (*node).take_key();
             self.out.set(Some((key, value)));
         }
+        let pin = self.pin.get().expect("claim under pin");
+        self.q.gc.add_len(pin, -1);
     }
 
     fn victim_search_key(&self, victim: Self::Node) -> Self::SearchKey {
@@ -612,9 +624,7 @@ impl<K: Ord, V> SkipQueue<K, V> {
         Self {
             head,
             tail,
-            clock: TimestampClock::new(),
             seq: CachePadded::new(AtomicU64::new(0)),
-            len: CachePadded::new(AtomicUsize::new(0)),
             deferred: CachePadded::new(AtomicIsize::new(0)),
             cleaner: CachePadded::new(RawMutex::INIT),
             front: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
@@ -627,9 +637,12 @@ impl<K: Ord, V> SkipQueue<K, V> {
         }
     }
 
-    /// Approximate number of items (exact when no operations are in flight).
+    /// Approximate number of items (exact when no operations are in flight,
+    /// never negative). Sums the per-thread counts the collector keeps (see
+    /// [`crate::gc`]), so it reads one cache line per thread that has used
+    /// the queue.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.gc.len()
     }
 
     /// True when [`SkipQueue::len`] is zero.
@@ -679,7 +692,6 @@ impl<K: Ord, V> SkipQueue<K, V> {
         op.input.set(Some((key, value)));
         let res = drive(self.algo().insert(&op));
         debug_assert_eq!(res, InsertResult::Inserted);
-        self.len.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Removes and returns the minimum entry (Figure 11), or `None` if no
@@ -692,7 +704,6 @@ impl<K: Ord, V> SkipQueue<K, V> {
     pub fn delete_min(&self) -> Option<(K, V)> {
         let op = NativeOp::new(self);
         if drive(self.algo().delete_min(&op)) {
-            self.len.fetch_sub(1, Ordering::Relaxed);
             Some(op.out.take().expect("winning delete filled the result"))
         } else {
             None
@@ -906,7 +917,7 @@ impl<K: Ord, V> SkipQueue<K, V> {
 impl<K, V> std::fmt::Debug for SkipQueue<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SkipQueue")
-            .field("len", &self.len.load(Ordering::Relaxed))
+            .field("len", &self.gc.len())
             .field("max_height", &self.max_height)
             .field("strict", &self.strict)
             .field("unlink_batch", &self.unlink_batch)

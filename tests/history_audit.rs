@@ -167,6 +167,72 @@ fn small_concurrent_histories_are_exactly_linearizable() {
 }
 
 #[test]
+fn hold_loop_empties_are_definition_1_legal() {
+    // The shape of a hold model on a small queue: two threads each delete
+    // the minimum and insert it back with a larger key, on a queue
+    // prefilled with 512 items, so at most two items are ever out. Every
+    // EMPTY is recorded. One can still be legal: a deleter descheduled
+    // after reading its start time, while its peer claims every item
+    // stamped before that time and re-inserts them all with later stamps.
+    // `check_strict` flags any EMPTY that overlooks an insert completed
+    // before the delete began and not claimed by a delete invoked before
+    // it responded.
+    const PREFILL: u64 = 512;
+    const HOLDS: u64 = 1_500;
+    // Unique values: priority above bit 24, thread tag, then a sequence.
+    let value = |prio: u64, tag: u64, seq: u64| prio << 24 | tag << 20 | seq;
+    for round in 0..2u64 {
+        let clock = TicketClock::new();
+        let q = SkipQueue::<u64, u64>::new();
+        let mut prefill = Recorder::new(&clock);
+        for i in 0..PREFILL {
+            let v = value(i, 2, 0);
+            prefill.insert(v, || q.insert(v, v));
+        }
+        let runs: Vec<(History, u64)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (q, clock) = (&q, &clock);
+                    s.spawn(move || {
+                        let mut rec = Recorder::new(clock);
+                        let mut state = (round * 2 + t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        let mut empties = 0;
+                        for seq in 0..HOLDS {
+                            match rec.delete_min(|| q.delete_min().map(|(k, _)| k)) {
+                                Some(k) => {
+                                    state ^= state << 13;
+                                    state ^= state >> 7;
+                                    state ^= state << 17;
+                                    let v = value((k >> 24) + 1 + state % 64, t, seq);
+                                    rec.insert(v, || q.insert(v, v));
+                                }
+                                None => empties += 1,
+                            }
+                        }
+                        (rec.finish(), empties)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let empties: u64 = runs.iter().map(|(_, e)| e).sum();
+        assert_eq!(
+            q.len() as u64,
+            PREFILL,
+            "round {round}: holds conserve items"
+        );
+        let h = History::merge(
+            std::iter::once(prefill.finish()).chain(runs.into_iter().map(|(h, _)| h)),
+        );
+        let violations = h.check_strict();
+        assert!(
+            violations.is_empty(),
+            "round {round}: {empties} EMPTY results, violations: {violations:?}"
+        );
+    }
+}
+
+#[test]
 fn audit_actually_has_teeth() {
     // Sanity: a deliberately broken "queue" (LIFO!) must fail the audit.
     struct Lifo(parking_lot::Mutex<Vec<(u64, u64)>>);

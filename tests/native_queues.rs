@@ -257,3 +257,82 @@ fn all_implementations_agree_sequentially() {
         "LockedSeqSkipList"
     );
 }
+
+// ------------------------------------------------------- length count
+
+/// Runs inserters and deleters side by side on a prefilled `q` while a
+/// monitor samples `len()`, and returns how many items are left. Deleters
+/// remove more than they add, so their threads' shares of the count go
+/// negative; the sum never may.
+fn run_len_workload<Q: PriorityQueue<u64, u64> + Sync>(q: &Q) -> u64 {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const PREFILL: u64 = 1_000;
+    const THREADS: u64 = 4;
+    const OPS: u64 = 2_000;
+    for k in 0..PREFILL {
+        q.insert(k, k);
+    }
+    let running = AtomicBool::new(true);
+    let (added, removed) = std::thread::scope(|s| {
+        let running = &running;
+        let monitor = s.spawn(move || {
+            while running.load(Ordering::Relaxed) {
+                let n = q.len() as u64;
+                assert!(n <= PREFILL + THREADS * OPS, "len() wrapped: {n}");
+                std::thread::yield_now();
+            }
+        });
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                s.spawn(move || {
+                    // Even threads insert 3 ops in 4, odd threads delete 3 in 4.
+                    let mut state = (t + 1) * 0x9E37_79B9;
+                    let (mut added, mut removed) = (0, 0);
+                    for _ in 0..OPS {
+                        let quarter = xorshift(&mut state).is_multiple_of(4);
+                        let insert = if t % 2 == 0 { !quarter } else { quarter };
+                        if insert {
+                            q.insert(PREFILL + (state >> 40), t);
+                            added += 1;
+                        } else if q.delete_min().is_some() {
+                            removed += 1;
+                        }
+                    }
+                    (added, removed)
+                })
+            })
+            .collect();
+        let totals = workers
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold((0, 0), |(a, r), (da, dr)| (a + da, r + dr));
+        running.store(false, Ordering::Relaxed);
+        monitor.join().unwrap();
+        totals
+    });
+    let left = PREFILL + added - removed;
+    assert_eq!(q.len() as u64, left, "len() at quiescence");
+    left
+}
+
+fn drained<Q: PriorityQueue<u64, u64>>(q: &Q) -> u64 {
+    std::iter::from_fn(|| q.delete_min()).count() as u64
+}
+
+#[test]
+fn skipqueue_len_matches_the_drain_at_quiescence() {
+    for mut q in [SkipQueue::new(), SkipQueue::new().with_unlink_batch(8)] {
+        let left = run_len_workload(&q);
+        q.check_invariants();
+        assert_eq!(drained(&q), left);
+        assert_eq!(q.len(), 0);
+    }
+}
+
+#[test]
+fn sharded_len_matches_the_drain_at_quiescence() {
+    let q = shardq::ShardedSkipQueue::<u64, u64>::new(4);
+    let left = run_len_workload(&q);
+    assert_eq!(drained(&q), left);
+    assert_eq!(q.len(), 0);
+}
