@@ -99,7 +99,7 @@ use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::clock::TimestampClock;
-use crate::node::{IKey, Node, MAX_HEIGHT};
+use crate::node::{Node, MAX_HEIGHT};
 
 /// "Thread is outside the structure."
 const OUTSIDE: u64 = u64::MAX;
@@ -430,6 +430,15 @@ impl<K, V> Collector<K, V> {
         ts
     }
 
+    /// Runs the threshold path on the calling thread's own garbage now,
+    /// whatever its length.
+    pub(crate) fn recycle_own(&self) {
+        let g = self.enter();
+        let slot = &self.slots[g.slot];
+        self.recycle(slot, &mut slot.garbage.lock());
+        self.exit(g);
+    }
+
     /// The threshold path: moves the reclaimable prefix of the calling
     /// thread's own garbage list into its own pool.
     fn recycle(&self, slot: &Slot<K, V>, garbage: &mut Vec<Retired<K, V>>) {
@@ -515,8 +524,9 @@ impl<K, V> Collector<K, V> {
     pub(crate) fn alloc(
         &self,
         g: RawGuard,
-        key: IKey<K>,
-        value: Option<V>,
+        key: K,
+        seq: u64,
+        value: V,
         height: usize,
     ) -> *mut Node<K, V> {
         let pooled = self.slots[g.slot]
@@ -527,10 +537,10 @@ impl<K, V> Collector<K, V> {
         match pooled {
             Some(block) => {
                 // SAFETY: a pooled block of this height, now ours alone.
-                unsafe { Node::init(block, key, value, height) };
+                unsafe { Node::init(block, key, seq, value, height) };
                 block
             }
-            None => Node::alloc(key, value, height),
+            None => Node::alloc(key, seq, value, height),
         }
     }
 
@@ -593,11 +603,9 @@ impl<K, V> Drop for Collector<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::IKey;
-    use std::mem::ManuallyDrop;
 
     fn mknode(k: u64) -> *mut Node<u64, u64> {
-        Node::alloc(IKey::Val(ManuallyDrop::new(k), k), Some(k), 1)
+        Node::alloc(k, k, k, 1)
     }
 
     #[test]
@@ -761,7 +769,7 @@ mod tests {
         let c: Collector<u64, Tracked> = Collector::new(2);
         {
             let g = c.pin();
-            let n = Node::alloc(IKey::Val(ManuallyDrop::new(1), 0), Some(Tracked), 1);
+            let n = Node::alloc(1, 0, Tracked, 1);
             unsafe { c.retire(g.raw, n) };
         }
         drop(c);
@@ -801,7 +809,7 @@ mod tests {
         // retired before its pin went to this thread's pool.
         assert_eq!(c.pending(), 1);
         let g = c.enter();
-        let n = c.alloc(g, IKey::Val(ManuallyDrop::new(7), 7), Some(7), 1);
+        let n = c.alloc(g, 7, 7, 7, 1);
         c.exit(g);
         assert!(
             retired.contains(&n),

@@ -4,10 +4,12 @@
 //! physical-deletion departure) lives in the shared [`pqalgo`] crate,
 //! written once as `async` control flow over [`pqalgo::Platform`] hooks.
 //! This module supplies the **native platform**: nodes are raw pointers,
-//! `load_next`/`store_next` are `Acquire`/`Release` atomics, the level and
-//! node locks are the offline `parking_lot` shim's spin-then-yield
-//! test-and-set `RawMutex` (`shims/parking_lot`), and GC registration is the
-//! quiescence collector ([`crate::gc`]). Every hook returns an
+//! `load_next`/`store_next` are `Acquire`/`Release` atomics on a node's
+//! tower words, each level lock is a spin-then-yield test-and-set of its
+//! word's low bit (see the `node` module), the node lock is the offline
+//! `parking_lot` shim's `RawMutex` (`shims/parking_lot`), the head and tail
+//! sentinels are told apart from entries by address, and GC registration is
+//! the quiescence collector ([`crate::gc`]). Every hook returns an
 //! immediately-ready future, so one poll drives a whole operation and the
 //! async plumbing compiles down to the same straight-line code the
 //! hand-written version had.
@@ -57,15 +59,17 @@
 //! constructors carry a `K: Copy` bound so the type system enforces this;
 //! heap-owning keys get the eager default.
 //!
-//! Locking invariant: a node's `levels()[i].next` is only written while
-//! holding that node's `levels()[i].lock`; reads are lock-free (`Acquire`).
-//! Because a deleter holds the predecessor's level lock while unlinking,
-//! holding a node's level lock also pins the node into the list at that
-//! level — which is what makes `getLock`'s validation sound.
+//! Locking invariant: bit 0 of a node's level-`i` word is that level's
+//! lock, and the word's pointer is only written while holding it (or by the
+//! insert that owns a node not yet published at level `i`); every write
+//! keeps the bit as it is. Reads are lock-free (`Acquire`) and mask the bit
+//! off. Because a deleter holds the predecessor's level lock while
+//! unlinking, holding a node's level lock also pins the node into the list
+//! at that level — which is what makes `getLock`'s validation sound.
 
 use std::cell::Cell;
+use std::cmp::Ordering as CmpOrdering;
 use std::collections::VecDeque;
-use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex as StdMutex};
 use std::task::{Context, Poll, Waker};
@@ -77,7 +81,7 @@ use parking_lot::RawMutex;
 use pqalgo::{CleanupPhase, Event, InsertResult, PeekPlatform, Platform, SkipAlgo, TraceEvent};
 
 use crate::gc::{Collector, RawGuard};
-use crate::node::{IKey, Node, MAX_HEIGHT};
+use crate::node::{Node, MAX_HEIGHT};
 use crate::pq::PriorityQueue;
 
 /// Default cap on tower height (supports ~2^24 items comfortably).
@@ -275,7 +279,7 @@ impl<'q, K: Ord, V> NativeOp<'q, K, V> {
             // SAFETY: every event node is reachable under this op's pin;
             // tracing is only enabled for `Copy` keys (see `with_trace`),
             // whose bits stay readable after the key was moved out.
-            let key = |n| unsafe { flat_trace_key(cfg.key_fn, n) };
+            let key = |n| unsafe { self.q.trace_key(cfg.key_fn, n) };
             if let Some(t) = TraceEvent::flatten(ev, key) {
                 cfg.sink.lock().unwrap().push(t);
             }
@@ -287,26 +291,6 @@ impl<'q, K: Ord, V> NativeOp<'q, K, V> {
             if let Some(f) = &hooks.phase_hook {
                 f(phase, self.q);
             }
-        }
-    }
-}
-
-/// Flattens a node's key for the decision trace: head ⇒ 0, tail ⇒
-/// `u64::MAX`, real keys through the configured projection.
-///
-/// # Safety
-///
-/// `node` must be reachable under the caller's pin. Retired-batch members
-/// may have had their `K` moved out; tracing is only enabled for `Copy`
-/// keys (see [`SkipQueue::with_trace`]), whose bits stay readable until
-/// dealloc.
-unsafe fn flat_trace_key<K, V>(key_fn: fn(&K) -> u64, node: *mut Node<K, V>) -> u64 {
-    // SAFETY: per contract.
-    unsafe {
-        match &(*node).key {
-            IKey::NegInf => 0,
-            IKey::PosInf => u64::MAX,
-            IKey::Val(k, _) => key_fn(k),
         }
     }
 }
@@ -354,13 +338,10 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     fn insert_prepare(&self) -> Self::SearchKey {
         let (key, value) = self.input.take().expect("insert operand staged");
         let height = self.q.next_height();
-        let ikey = IKey::Val(
-            ManuallyDrop::new(key),
-            self.q.seq.fetch_add(1, Ordering::Relaxed),
-        );
+        let seq = self.q.seq.fetch_add(1, Ordering::Relaxed);
         let pin = self.pin.get().expect("insert under pin");
         self.q.gc.add_len(pin, 1);
-        self.q.gc.alloc(pin, ikey, Some(value), height)
+        self.q.gc.alloc(pin, key, seq, value, height)
     }
 
     fn materialize(&self, skey: Self::SearchKey) -> (Self::Node, usize) {
@@ -399,28 +380,28 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
         // SAFETY: platform contract; the algorithm holds `node`'s level
         // lock here, or `node` is this insert's own unpublished node
         // (locking invariant in the module docs).
-        unsafe { (*node).levels()[lvl].next.store(to, Ordering::Release) }
+        unsafe { (*node).store_next(lvl, to) }
     }
 
     async fn key_lt(&self, node: Self::Node, skey: Self::SearchKey) -> bool {
         // SAFETY: platform contract; keys are compared through shared refs.
-        unsafe { (*node).key < (*skey).key }
+        unsafe { self.q.key_cmp(node, skey).is_lt() }
     }
 
     async fn key_eq(&self, node: Self::Node, skey: Self::SearchKey) -> bool {
         // SAFETY: platform contract.
-        unsafe { (*node).key == (*skey).key }
+        unsafe { self.q.key_cmp(node, skey).is_eq() }
     }
 
     async fn lock_level(&self, node: Self::Node, lvl: usize) {
         // SAFETY: platform contract.
-        unsafe { (*node).levels()[lvl].lock.lock() }
+        unsafe { (*node).lock_level(lvl) }
     }
 
     async fn unlock_level(&self, node: Self::Node, lvl: usize) {
         // SAFETY: platform contract; the algorithm pairs every unlock with
         // its own earlier lock.
-        unsafe { (*node).levels()[lvl].lock.unlock() }
+        unsafe { (*node).unlock_level(lvl) }
     }
 
     async fn lock_node(&self, node: Self::Node) {
@@ -455,15 +436,9 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
     }
 
     async fn take_payload(&self, node: Self::Node) {
-        // SAFETY: we are the unique winner of the `deleted` swap; nobody
-        // else touches key/value (the mark is never cleared).
-        unsafe {
-            let value = (*(*node).value.get())
-                .take()
-                .expect("claimed node has a value");
-            let key = (*node).take_key();
-            self.out.set(Some((key, value)));
-        }
+        // SAFETY: we are the unique winner of the `deleted` swap on an
+        // entry; nobody else moves key/value out (the mark is never cleared).
+        self.out.set(Some(unsafe { (*node).take_payload() }));
         let pin = self.pin.get().expect("claim under pin");
         self.q.gc.add_len(pin, -1);
     }
@@ -513,7 +488,7 @@ impl<K: Ord, V> Platform for NativeOp<'_, K, V> {
 
     async fn hint_key_gt(&self, hint: Self::Node, node: Self::Node) -> bool {
         // SAFETY: platform contract (both pinned).
-        unsafe { (*hint).key > (*node).key }
+        unsafe { self.q.key_cmp(hint, node).is_gt() }
     }
 
     async fn bump_epoch(&self, _node: Self::Node) {
@@ -580,14 +555,12 @@ impl<K: Ord + Copy, V> PeekPlatform for NativeOp<'_, K, V> {
     type PeekKey = K;
 
     async fn peek_key(&self, node: Self::Node) -> Option<K> {
-        // SAFETY: platform contract; the probed node was unmarked when
-        // inspected, so its key is present.
-        unsafe {
-            match &(*node).key {
-                IKey::Val(k, _) => Some(**k),
-                _ => None,
-            }
+        if node == self.q.head || node == self.q.tail {
+            return None;
         }
+        // SAFETY: platform contract; an entry's key bits stay readable
+        // (`K: Copy`) until the node is reclaimed.
+        Some(unsafe { *(*node).key() })
     }
 }
 
@@ -613,12 +586,12 @@ impl<K: Ord, V> SkipQueue<K, V> {
     /// * `max_threads` — bound on distinct threads ever touching the queue.
     pub fn with_params(max_height: usize, strict: bool, max_threads: usize) -> Self {
         assert!((1..=MAX_HEIGHT).contains(&max_height));
-        let tail = Node::alloc(IKey::PosInf, None, max_height);
-        let head = Node::alloc(IKey::NegInf, None, max_height);
+        let tail = Node::alloc_sentinel(max_height);
+        let head = Node::alloc_sentinel(max_height);
         // SAFETY: freshly allocated, exclusively owned here.
         unsafe {
             for lvl in 0..max_height {
-                (*head).levels()[lvl].next.store(tail, Ordering::Relaxed);
+                (*head).store_next(lvl, tail);
             }
         }
         Self {
@@ -653,6 +626,48 @@ impl<K: Ord, V> SkipQueue<K, V> {
     /// Whether this queue runs the strict (time-stamped) protocol.
     pub fn is_strict(&self) -> bool {
         self.strict
+    }
+
+    /// Orders two nodes: the head before everything, the tail after
+    /// everything, entries by `(key, seq)`. The sentinels are told apart by
+    /// address, so their (absent) keys are never read.
+    ///
+    /// # Safety
+    ///
+    /// Both nodes must be live nodes of this queue, reachable under the
+    /// caller's pin or owned by it.
+    #[inline]
+    unsafe fn key_cmp(&self, a: *mut Node<K, V>, b: *mut Node<K, V>) -> CmpOrdering {
+        if a == b {
+            CmpOrdering::Equal
+        } else if a == self.tail || b == self.head {
+            CmpOrdering::Greater
+        } else if a == self.head || b == self.tail {
+            CmpOrdering::Less
+        } else {
+            // SAFETY: per contract; neither node is a sentinel.
+            unsafe { (*a).cmp_entry(&*b) }
+        }
+    }
+
+    /// Flattens a node's key for the decision trace: head ⇒ 0, tail ⇒
+    /// `u64::MAX`, entries through the configured projection.
+    ///
+    /// # Safety
+    ///
+    /// `node` must be reachable under the caller's pin. Retired-batch
+    /// members may have had their `K` moved out; tracing is only enabled
+    /// for `Copy` keys (see [`SkipQueue::with_trace`]), whose bits stay
+    /// readable until the node is reclaimed.
+    unsafe fn trace_key(&self, key_fn: fn(&K) -> u64, node: *mut Node<K, V>) -> u64 {
+        if node == self.head {
+            0
+        } else if node == self.tail {
+            u64::MAX
+        } else {
+            // SAFETY: per contract; `node` is an entry.
+            key_fn(unsafe { (*node).key() })
+        }
     }
 
     /// The shared-algorithm descriptor for this queue's configuration.
@@ -710,18 +725,29 @@ impl<K: Ord, V> SkipQueue<K, V> {
         }
     }
 
-    /// Checks structural invariants. Takes `&mut self` so it can only run
-    /// quiescently (tests).
+    /// Checks structural invariants, including that no level lock bit and
+    /// no node lock is left held (a leaked lock would otherwise only show
+    /// as a later hang). Takes `&mut self` so it can only run quiescently
+    /// (tests).
     pub fn check_invariants(&mut self) {
         // SAFETY: &mut self — no concurrent operations.
         unsafe {
+            let assert_unlocked = |node: *mut Node<K, V>, what: &str| {
+                for lvl in 0..(*node).height() {
+                    assert!(!(*node).level_locked(lvl), "{what}: level {lvl} lock held");
+                }
+                assert!((*node).node_lock.try_lock(), "{what}: node lock held");
+                (*node).node_lock.unlock();
+            };
+            assert_unlocked(self.head, "head");
+            assert_unlocked(self.tail, "tail");
             let mut live = 0usize;
             let mut marked = 0usize;
             for lvl in (0..self.max_height).rev() {
                 let mut prev = self.head;
                 let mut cur = (*prev).next(lvl);
                 while cur != self.tail {
-                    assert!((*prev).key < (*cur).key, "level {lvl} out of order");
+                    assert!(self.key_cmp(prev, cur).is_lt(), "level {lvl} out of order");
                     assert!((*cur).height() > lvl, "node linked above its height");
                     if (*cur).deleted.load(Ordering::Relaxed) {
                         // Batched mode legitimately leaves claimed nodes
@@ -731,24 +757,21 @@ impl<K: Ord, V> SkipQueue<K, V> {
                             self.unlink_batch, 0,
                             "marked node still linked in quiescent state"
                         );
-                        assert!(
-                            (*cur).key_taken.load(Ordering::Relaxed),
-                            "deferred node's key not taken"
-                        );
-                        assert!(
-                            (*(*cur).value.get()).is_none(),
-                            "deferred node still holds a value"
-                        );
+                        assert!((*cur).payload_taken(), "deferred node's payload not taken");
                         if lvl == 0 {
                             marked += 1;
                         }
                     } else if lvl == 0 {
                         live += 1;
+                        assert!(!(*cur).payload_taken(), "unclaimed node without payload");
                         assert_ne!(
                             (*cur).timestamp.load(Ordering::Relaxed),
                             u64::MAX,
                             "linked node with incomplete insert in quiescent state"
                         );
+                    }
+                    if lvl == 0 {
+                        assert_unlocked(cur, "linked node");
                     }
                     prev = cur;
                     cur = (*cur).next(lvl);
@@ -816,6 +839,14 @@ impl<K: Ord, V> SkipQueue<K, V> {
     #[doc(hidden)]
     pub fn debug_front_hint_is_null(&self) -> bool {
         self.front.load(Ordering::SeqCst).is_null()
+    }
+
+    /// Test seam: recycles the calling thread's reclaimable garbage into
+    /// its node pool now, as a retire past the collection threshold would
+    /// (debug builds poison the pooled blocks; see [`crate::gc`]).
+    #[doc(hidden)]
+    pub fn debug_recycle_garbage(&self) {
+        self.gc.recycle_own();
     }
 }
 
@@ -1147,6 +1178,34 @@ mod tests {
         let mut q = Arc::into_inner(q).unwrap();
         q.check_invariants();
         assert_eq!(q.len(), 4 * 1_000 - 4 * 500);
+    }
+
+    #[test]
+    fn check_invariants_catches_a_leaked_lock() {
+        let mut q: SkipQueue<u64, ()> = SkipQueue::new().with_height_script([2usize]);
+        q.insert(1, ());
+        q.check_invariants();
+        let node = unsafe { (*q.head).next(0) };
+        let leak = |q: &mut SkipQueue<u64, ()>| {
+            let res =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.check_invariants()));
+            let msg = res.expect_err("a held lock must fail the check");
+            msg.downcast_ref::<String>()
+                .expect("formatted message")
+                .clone()
+        };
+        unsafe {
+            (*node).lock_level(1);
+            assert!(leak(&mut q).contains("level 1 lock held"));
+            (*node).unlock_level(1);
+            (*q.head).lock_level(0);
+            assert!(leak(&mut q).contains("head: level 0 lock held"));
+            (*q.head).unlock_level(0);
+            (*node).node_lock.lock();
+            assert!(leak(&mut q).contains("node lock held"));
+            (*node).node_lock.unlock();
+        }
+        q.check_invariants();
     }
 
     #[test]

@@ -109,3 +109,29 @@ fn mutation_reintroducing_stale_hint_bug_is_caught() {
         "mutant must keep the aborted publication, failing the inner-abort test"
     );
 }
+
+/// The same mutation seen from memory safety: the outer-abort mutant's
+/// stale hint names a node sweep #2 retired. Once the collector recycles
+/// that node's block into its pool, the next `delete_min` starts its walk
+/// there. A pooled block is never freed, so AddressSanitizer cannot see
+/// the read; debug builds poison pooled blocks instead, and the walk's
+/// first step past the node trips `Node::height`'s check. The correct
+/// cleaner, driven the same way, cleared the hint and stays clean.
+#[test]
+#[cfg(debug_assertions)]
+fn mutant_stale_hint_reads_a_reclaimed_node() {
+    let q = queue_with_injection(CleanupPhase::PrePublish, 2, 20);
+    drive_two_sweeps(&q, &[10, 11, 12, 13]);
+    q.debug_recycle_garbage();
+    assert_eq!(q.delete_min(), Some((20, 200)), "control: no stale hint");
+
+    let mut q = queue_with_injection(CleanupPhase::PrePublish, 2, 20);
+    q.set_buggy_abort(true);
+    drive_two_sweeps(&q, &[10, 11, 12, 13]);
+    assert!(!q.debug_front_hint_is_null(), "mutant keeps the stale hint");
+    q.debug_recycle_garbage();
+    let walk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.delete_min()));
+    let msg = walk.expect_err("the walk from a recycled hint must trip the poison check");
+    let msg = msg.downcast_ref::<String>().expect("formatted message");
+    assert!(msg.contains("read of a reclaimed node"), "{msg}");
+}

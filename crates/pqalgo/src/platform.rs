@@ -6,13 +6,15 @@
 //! compiles to:
 //!
 //! * The **native** platform (`crates/core`) maps nodes to raw pointers,
-//!   `load_next`/`store_next` to `Acquire`/`Release` atomics, the level and
-//!   node locks to the offline `parking_lot` shim's spin-then-yield
-//!   test-and-set `RawMutex` (`shims/parking_lot`), `delete_read_clock` to
-//!   the global
-//!   `fetch_add` timestamp clock, and the GC hooks to quiescence-collector
-//!   slot registration. Every hook returns an immediately-ready future, so a
-//!   poll-once executor drives a whole operation synchronously.
+//!   `load_next`/`store_next` to `Acquire`/`Release` atomics on a node's
+//!   tower words, each level lock to a spin-then-yield test-and-set of the
+//!   low bit of that level's forward-pointer word, the node lock to the
+//!   offline `parking_lot` shim's `RawMutex` (`shims/parking_lot`),
+//!   `delete_read_clock` to a load of the collector's timestamp clock (only
+//!   inserts' stamps and retires tick it), and the GC hooks to
+//!   quiescence-collector slot registration. Every hook returns an
+//!   immediately-ready future, so a poll-once executor drives a whole
+//!   operation synchronously.
 //! * The **simulator** platform (`crates/simpq`) maps nodes to simulated
 //!   machine addresses and every hook to the charged `READ`/`WRITE`/`SWAP`/
 //!   semaphore operations of the simulated multiprocessor; each `.await` is
